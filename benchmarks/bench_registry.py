@@ -8,11 +8,12 @@ registry:
   multi-cluster schema through :meth:`Pipeline.recompile_from
   <repro.engine.pipeline.Pipeline.recompile_from>` beats the cold
   Phase-1/Phase-2 rebuild by >= ``SPEEDUP_BAR``.  Both sides run the
-  exact LP backend so the comparison is arithmetic-for-arithmetic: the
+  sparse exact LP backend so the comparison is arithmetic-for-arithmetic: the
   cold side solves one global Ψ_S system, the delta side only the dirty
-  cluster's blocks.  (The BENCH_registry.json sweep on larger schemas
-  shows 30-130x; the CI bar is deliberately far below the measured
-  ratios so a loaded runner cannot flake it.)
+  cluster's blocks.  (The 30-130x recorded under the dense exact core
+  fell to 1.3-3.6x under the sparse core, see BENCH_registry.json, so
+  this bar currently fails; it stays as the open question whether delta
+  revalidation pays for its code at production arithmetic.)
 * **Identical verdicts** — the revalidated pipeline must agree with a
   fresh build on every per-class satisfiability verdict and on the
   maximal acceptable support, for every schema in the sweep.  Speed
@@ -34,13 +35,14 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import clustered_schema
 
-#: CI-safe floor; the committed BENCH_registry.json records 30x+.
+#: The required speedup.  Measured under the dense exact core at 30x+;
+#: the sparse core measures 1.3-3.6x (BENCH_registry.json).
 SPEEDUP_BAR = 4.0
 
 #: Pin the LP arithmetic core so cold and delta solve with the same
 #: backend — ``auto`` flips between exact and float by system size,
 #: which would compare different arithmetic, not different pipelines.
-CONFIG = EngineConfig(lp_backend="exact")
+CONFIG = EngineConfig(lp_backend="exact-sparse")
 
 
 def _single_cluster_edit(schema: Schema, cluster: int = 0) -> Schema:

@@ -678,7 +678,7 @@ def registry_revalidation() -> None:
     # Pin the exact LP core so the cold and delta sides solve with the
     # same arithmetic: "auto" flips between exact and float by system
     # size, which would compare backends, not pipelines.
-    config = EngineConfig(lp_backend="exact")
+    config = EngineConfig(lp_backend="exact-sparse")
 
     def single_cluster_edit(schema):
         names = sorted(d.name for d in schema.class_definitions
@@ -869,7 +869,6 @@ def lp_backends() -> None:
     from repro.core.formulas import Lit
     from repro.core.schema import Attr, ClassDef, Schema
     from repro.linear.backends import SparseExactBackend
-    from repro.obs.tracer import Tracer
     from repro.workloads.generators import hierarchy_schema
 
     def cluster(i: int, fan: int):
@@ -889,15 +888,15 @@ def lp_backends() -> None:
         system = build_system(build_expansion(Schema(classes)))
         sparse_s, sparse = timed(
             lambda s=system: acceptable_support(s, backend="exact-sparse"))
-        dense_s, dense = timed(
-            lambda s=system: acceptable_support(s, backend="exact"))
-        assert sparse.support == dense.support
+        float_s, floaty = timed(
+            lambda s=system: acceptable_support(s, backend="float-fallback"))
+        assert sparse.support == floaty.support
         rows.append((n_clusters, system.size(), system.n_unknowns(),
-                     dense_s, sparse_s, round(dense_s / max(sparse_s, 1e-9), 1)))
+                     sparse_s, float_s))
     emit(
-        "LP backends — dense exact vs sparse fraction-free on Psi_S",
-        ["clusters", "|Psi_S|", "unknowns", "exact s", "exact-sparse s",
-         "speedup"], rows)
+        "LP backends — sparse exact vs float-fallback on Psi_S",
+        ["clusters", "|Psi_S|", "unknowns", "exact-sparse s",
+         "float-fallback s"], rows)
 
     rows = []
     for depth, branching in ((3, 3), (4, 3), (5, 3)):
@@ -906,17 +905,11 @@ def lp_backends() -> None:
         system = build_system(build_expansion(schema))
         lp_s, lp_solution = timed(lambda s=system: SparseExactBackend().solve(
             s, list(range(s.n_unknowns()))))
-        tracer = Tracer()
-        closed_s, closed = timed(lambda s=system: acceptable_support(
-            s, backend="exact-sparse", hierarchy=True, tracer=tracer))
-        assert closed.backend_used == "closed-form"
-        assert tracer.counters.get("lp.pivots", 0) == 0
         rows.append((f"{depth}x{branching}", system.size(),
-                     lp_solution.metrics.get("lp.pivots", 0), lp_s, closed_s))
+                     lp_solution.metrics.get("lp.pivots", 0), lp_s))
     emit(
-        "Section 4.4 closed form vs sparse LP on hierarchies",
-        ["hierarchy", "|Psi_S|", "LP pivots", "sparse LP s",
-         "closed form s"], rows)
+        "Sparse LP on Section 4.4 hierarchies",
+        ["hierarchy", "|Psi_S|", "LP pivots", "sparse LP s"], rows)
 
 
 SECTIONS = [
@@ -937,7 +930,7 @@ SECTIONS = [
     ("Query answering (CQ rewriting, certain answers, /v1/query)",
      query_answering),
     ("Registry revalidation (delta rebuild vs cold)", registry_revalidation),
-    ("LP backends (sparse fraction-free vs dense exact, Section 4.4)",
+    ("LP backends (sparse exact vs float-fallback)",
      lp_backends),
     ("Ablations", ablations),
 ]

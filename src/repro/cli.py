@@ -641,16 +641,9 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         capabilities = entry.capabilities
         _write(f"  arithmetic={capabilities.arithmetic} "
                f"sparse={capabilities.sparse} "
-               f"closed_form={capabilities.closed_form} "
                f"degeneracy={capabilities.degeneracy}")
-        if entry.parameters:
-            _write("  parameters: "
-                   + ", ".join(f"{entry.name}:{p}=..." for p in entry.parameters))
         if entry.aliases:
-            notes = [alias + (" (deprecated)"
-                              if alias in entry.deprecated_aliases else "")
-                     for alias in entry.aliases]
-            _write("  aliases: " + ", ".join(notes))
+            _write("  aliases: " + ", ".join(entry.aliases))
         _write()
     return 0
 
@@ -672,12 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--strategy", default="auto",
                          choices=("auto", "naive", "strategic", "hierarchy"),
                          help="compound-class enumeration strategy")
-        sub.add_argument("--backend", default="auto", metavar="SPEC",
+        sub.add_argument("--backend", default="auto", metavar="NAME",
                          help="LP backend for the support computation: a "
-                              "registered name or parameterized spec "
-                              "(e.g. auto, exact, exact-sparse, "
-                              "float-fallback, auto:limit=500); see "
-                              "'repro backends'")
+                              "registered name (auto, exact-sparse, "
+                              "float-fallback); see 'repro backends'")
         sub.add_argument("--json", action="store_true",
                          help="print a machine-readable JSON document")
         sub.add_argument("--profile", action="store_true",

@@ -40,9 +40,8 @@ class EngineConfig:
         :class:`~repro.core.errors.ReasoningError` instead of running out
         of memory on adversarial schemas.
     lp_backend:
-        Registered LP backend answering the max-support rounds, by name or
-        parameterized spec (``"auto"``, ``"exact"``, ``"exact-sparse"``,
-        ``"float-fallback"``, ``"auto:limit=500"`` — see
+        Registered LP backend answering the max-support rounds, by name
+        (``"auto"``, ``"exact-sparse"``, ``"float-fallback"`` — see
         :mod:`repro.linear.backends`).
     incremental_augmented:
         Reuse the compound classes of clusters untouched by a query class

@@ -351,7 +351,6 @@ class Pipeline:
             self.system, backend=self.config.lp_backend,
             use_propagation=self.config.use_propagation,
             merge_columns=self.config.merge_columns,
-            hierarchy=self.is_hierarchy(),
             tracer=self.tracer)
 
     # ------------------------------------------------------------------

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ..core.errors import LinearSystemError, ReasoningError
-from .simplex import INFEASIBLE, UNBOUNDED, solve_lp
+from .backends import grouped_columns
+from .sparse import INFEASIBLE, UNBOUNDED, solve_lp
 from .support import SupportResult
 
 __all__ = ["RatioBounds", "population_ratio_bounds"]
@@ -60,25 +61,6 @@ class RatioBounds:
                 f"∈ [{self.lower}, {upper}]")
 
 
-def _grouped_restriction(support: SupportResult, columns: list[int]):
-    """Merge interchangeable columns (identical constraint signatures) and
-    return ``(groups, dense_rows)`` over the supported unknowns.
-
-    Valid here because the ratio objective and the normalization row only
-    weight compound-class unknowns, which stay in singleton groups.
-    """
-    from .backends import grouped_columns
-
-    groups, sparse_rows = grouped_columns(support.system, columns)
-    rows: list[list[Fraction]] = []
-    for sparse in sparse_rows:
-        row = [Fraction(0)] * len(groups)
-        for g, coeff in sparse.items():
-            row[g] = coeff
-        rows.append(row)
-    return groups, rows
-
-
 def population_ratio_bounds(support: SupportResult, numerator: str,
                             denominator: str) -> RatioBounds:
     """Exact bounds on ``|numerator| / |denominator|`` across all models.
@@ -98,7 +80,10 @@ def population_ratio_bounds(support: SupportResult, numerator: str,
         if name not in schema.class_symbols:
             raise ReasoningError(f"class {name!r} does not occur in the schema")
 
-    groups, rows = _grouped_restriction(support, columns)
+    # Merging interchangeable columns is valid here because the ratio
+    # objective and the normalization rows only weight compound-class
+    # unknowns, which stay in singleton groups.
+    groups, rows = grouped_columns(system, columns)
 
     def class_weights(name: str) -> list[Fraction]:
         weights = []
@@ -116,12 +101,13 @@ def population_ratio_bounds(support: SupportResult, numerator: str,
         raise ReasoningError(
             f"class {denominator!r} is unsatisfiable; the ratio is undefined")
 
-    rhs = [Fraction(0)] * len(rows)
+    rhs = [0] * len(rows)
     # Normalization Σ denominator = 1 as two inequalities.
-    rows.append(list(denominator_weights))
-    rhs.append(Fraction(1))
-    rows.append([-w for w in denominator_weights])
-    rhs.append(Fraction(-1))
+    normalization = {g: w for g, w in enumerate(denominator_weights) if w}
+    rows.append(normalization)
+    rhs.append(1)
+    rows.append({g: -w for g, w in normalization.items()})
+    rhs.append(-1)
 
     outcomes = {}
     for sense, maximize in (("max", True), ("min", False)):

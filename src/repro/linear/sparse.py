@@ -1,130 +1,179 @@
-"""Sparse fraction-free Phase-2 simplex and the §4.4 closed form.
+"""Exact linear programming on a sparse, fraction-free simplex tableau.
+
+Phase 2 of the paper's method reduces class satisfiability to the existence
+of particular solutions of a homogeneous system of linear disequations
+(Theorem 3.3), decided "using linear programming techniques" (Theorem 4.3).
+Floating-point LP cannot be trusted to distinguish ``x > 0`` from ``x = 0``
+— the very distinction the method hinges on — so this module solves
+
+    maximize    c · x
+    subject to  A x ≤ b,   x ≥ 0
+
+exactly, with each row of ``A`` a sparse ``{column: coefficient}`` dict.
 
 ``Ψ_S`` is extremely sparse: acceptability couples each compound
 attribute/relation only to its endpoint classes, and every ``Natt``/``Nrel``
-entry touches one compound-class column plus its summands.  The dense
-all-:class:`~fractions.Fraction` tableau of :mod:`repro.linear.simplex`
-ignores that structure — every pivot rewrites the full ``m × (n+m)``
-rectangle and every entry pays a gcd inside ``Fraction`` arithmetic.
+entry touches one compound-class column plus its summands.  So the tableau
+is kept **sparse and integer**:
 
-This module keeps the tableau **sparse and integer**:
-
-* each row is a ``{column: int numerator}`` dict with one positive integer
-  denominator shared by the whole row (the right-hand side shares it too);
+* each row is a ``{column: int}`` dict whose basic column has a positive
+  coefficient; the canonical (unit-basic) row is the stored row divided by
+  that coefficient, and the right-hand side is scaled alongside;
 * a column index (``column → set of row ids``) lets a pivot touch only the
   rows actually containing the entering column;
 * pivoting is fraction-free in the Bareiss style — rows update by integer
   cross-multiplication ``row_i·p - a_ic·row_r`` followed by **one** gcd
   normalization per updated row, instead of a gcd per arithmetic operation.
 
-The max-support LP (maximize ``Σ t_g`` s.t. ``Ψ rows``, ``t_g ≤ x_g``,
-``t_g ≤ 1``) has a nonnegative right-hand side throughout, so the slack
-basis is primal feasible from the start: **no Phase 1, no artificial
-variables** — a single run of Bland-rule primal simplex suffices, which is
-the structural reason this solver can skip half of what the dense two-phase
-core does.
-
-The second short-circuit is Section 4.4: for detected generalization
-hierarchies the support question has a closed-form answer.  After the
-propagation rules reach their fixpoint, every surviving unknown is
-supportable, and :func:`hierarchy_witness` *constructs* the certifying
-solution directly (classes at 1, each cardinality entry's live summands
-sharing the entry's feasible mass) and re-verifies it against every
-disequation exactly — soundness rests on the verification, not on the
-hierarchy detection, so a schema that fools the shape test still gets the
-correct LP answer via the normal solver.
+Rows with a negative right-hand side are negated and get an artificial
+column, so the starting basis is the identity.  Phase 1 maximizes minus the
+sum of the artificials, drives those still basic out, and drops the rest;
+Phase 2 prices the real objective.  The max-support LP of the support
+computation has ``b ≥ 0`` throughout, so it starts from the slack basis and
+skips Phase 1.  Bland's rule guarantees termination, and every iteration
+ticks the ambient :class:`~repro.core.budget.Budget`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..core.budget import current_budget
-from ..core.cardinality import INFINITY
 from ..core.errors import LinearSystemError
-from .system import PsiSystem, bound_entries
 
-__all__ = ["SparseTableau", "solve_max_support_sparse", "hierarchy_witness"]
+__all__ = ["LpResult", "solve_lp", "OPTIMAL", "UNBOUNDED", "INFEASIBLE",
+           "SparseTableau", "solve_max_support_sparse"]
+
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
+INFEASIBLE = "infeasible"
+
+
+@dataclass(frozen=True)
+class LpResult:
+    """Outcome of an LP solve.
+
+    ``solution`` and ``objective`` are exact rationals, present only for
+    ``status == OPTIMAL``.  ``pivots`` counts the tableau pivots performed
+    across both phases — the arithmetic work metric the observability bus
+    reports as ``lp.pivots``.
+    """
+
+    status: str
+    objective: Optional[Fraction] = None
+    solution: Optional[tuple[Fraction, ...]] = None
+    pivots: int = 0
 
 
 class SparseTableau:
-    """A sparse, fraction-free simplex tableau for ``max c·x, Ax ≤ b, x ≥ 0``
-    with ``b ≥ 0`` (slack basis feasible — single-phase).
+    """A sparse, fraction-free simplex tableau for ``max c·x, Ax ≤ b, x ≥ 0``.
 
-    ``rows``/``rhs`` are integer; slack columns ``n_structural + i`` are
-    appended internally.  Row ``i`` represents the rational row
-    ``num[i][j] / den[i]`` with ``den[i] > 0``; ``rhs[i]`` shares the
-    denominator, which cancels out of both the ratio test
-    (``rhs[i]/num[i][c]``) and the basic-variable readout — the simplex
-    never builds a :class:`~fractions.Fraction` until the final solution.
+    ``rows`` and ``rhs`` are integer; ``objective`` maps columns to their
+    (integer or rational) costs.  Columns
+    ``0 .. n_structural-1`` are structural, ``n_structural + i`` is row
+    ``i``'s slack, and the columns after those are the artificials of the
+    rows with a negative right-hand side.  :meth:`solve` runs both phases;
+    :meth:`solution` reads the structural values at the final basis.
     """
 
     def __init__(self, rows: Sequence[dict[int, int]], rhs: Sequence[int],
-                 objective: dict[int, int], n_structural: int):
+                 objective: Mapping[int, object], n_structural: int):
         m = len(rows)
         if len(rhs) != m:
             raise LinearSystemError(
                 f"{m} constraint rows but {len(rhs)} right-hand sides")
-        if any(value < 0 for value in rhs):
-            raise LinearSystemError(
-                "SparseTableau requires b ≥ 0 (slack-basis feasibility)")
         self.n_structural = n_structural
+        self.objective = objective
         self.num: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        #: The positive factor each row was scaled by since it was last
+        #: normalized: only its divisors can be common to the whole row.
         self.den: list[int] = [1] * m
-        self.rhs: list[int] = list(rhs)
         self.basis: list[int] = []
         self.cols: dict[int, set[int]] = {}
-        for i, row in enumerate(rows):
+        self.artificial: set[int] = set()
+        for i, (row, bound) in enumerate(zip(rows, rhs)):
             stored = {j: v for j, v in row.items() if v}
             stored[n_structural + i] = 1  # the slack column
+            if bound < 0:
+                stored = {j: -v for j, v in stored.items()}
+                bound = -bound
+                artificial = n_structural + m + len(self.artificial)
+                stored[artificial] = 1
+                self.artificial.add(artificial)
+                self.basis.append(artificial)
+            else:
+                self.basis.append(n_structural + i)
             self.num.append(stored)
-            self.basis.append(n_structural + i)
+            self.rhs.append(bound)
             for j in stored:
                 self.cols.setdefault(j, set()).add(i)
-        # Reduced costs: the slack basis has zero cost, so c - z == c.
-        self.obj_num: dict[int, int] = {j: v for j, v in objective.items() if v}
-        self.obj_den: int = 1
+        #: Reduced costs, scaled to integers: only their signs and ratios
+        #: matter, and ``pivot`` keeps both.  ``obj_den`` plays the role
+        #: of ``den`` for this row.
+        self.obj: dict[int, int] = {}
+        self.obj_den = 1
         self.pivots = 0
 
     # ------------------------------------------------------------------
-    def _normalize(self, row: dict[int, int], rhs: int,
+    @staticmethod
+    def _normalize(row: dict[int, int], rhs: int,
                    den: int) -> tuple[int, int]:
-        """Fix the denominator sign and divide the whole row by its gcd.
+        """Divide the whole row, its right-hand side and its scale factor
+        ``den`` by their gcd; returns the new ``(rhs, den)``.
 
         One normalization per row per pivot keeps entries at the size of
         (scaled) minors — the fraction-free analogue of Bareiss division —
         without paying a gcd on every multiply.
         """
-        if den < 0:
-            den, rhs = -den, -rhs
-            for j in row:
-                row[j] = -row[j]
         g = gcd(den, rhs)
         for value in row.values():
             if g == 1:
-                break
+                return rhs, den
             g = gcd(g, value)
         if g > 1:
-            den //= g
-            rhs //= g
             for j in row:
                 row[j] //= g
+            return rhs // g, den // g
         return rhs, den
 
+    def _price(self, costs: Mapping[int, object]) -> None:
+        """Set the reduced costs ``c_j - c_B·B⁻¹A_j`` of ``costs`` (ints or
+        Fractions) at the current basis."""
+        reduced = {j: v for j, v in costs.items() if v}
+        for i, var in enumerate(self.basis):
+            cost = costs.get(var)
+            if cost:
+                row = self.num[i]
+                factor = Fraction(cost, row[var])
+                for j, value in row.items():
+                    reduced[j] = reduced.get(j, 0) - factor * value
+        scale = lcm(*(value.denominator for value in reduced.values()))
+        self.obj = {j: int(value * scale)
+                    for j, value in reduced.items() if value}
+        self.obj_den = 1
+
     def pivot(self, r: int, c: int) -> None:
-        prc = self.num[r][c]
         row_r = self.num[r]
+        if row_r[c] < 0:
+            # Only Phase 1 pivots on a negative entry, when it drives an
+            # artificial out of a row at zero; negating keeps the basic
+            # coefficient positive.
+            for j in row_r:
+                row_r[j] = -row_r[j]
+            self.rhs[r] = -self.rhs[r]
+        prc = row_r[c]
         rhs_r = self.rhs[r]
-        touched = self.cols.get(c, set())
-        for i in list(touched):
+        for i in list(self.cols[c]):
             if i == r:
                 continue
             row_i = self.num[i]
             nic = row_i[c]
-            # row_i ← row_i·prc − nic·row_r  (den_i ← den_i·prc), touching
-            # only row_i's nonzeros plus row_r's support.
+            # row_i ← row_i·prc − nic·row_r, touching only row_i's nonzeros
+            # plus row_r's support.
             for j in row_i:
                 row_i[j] *= prc
             for j, vrj in row_r.items():
@@ -140,12 +189,11 @@ class SparseTableau:
                     else:
                         del row_i[j]
                         self.cols[j].discard(i)
-            new_rhs = self.rhs[i] * prc - nic * rhs_r
-            new_den = self.den[i] * prc
-            self.rhs[i], self.den[i] = self._normalize(row_i, new_rhs, new_den)
-        oc = self.obj_num.get(c)
+            self.rhs[i], self.den[i] = self._normalize(
+                row_i, self.rhs[i] * prc - nic * rhs_r, self.den[i] * prc)
+        oc = self.obj.get(c)
         if oc:
-            obj = self.obj_num
+            obj = self.obj
             for j in obj:
                 obj[j] *= prc
             for j, vrj in row_r.items():
@@ -159,48 +207,41 @@ class SparseTableau:
                         obj[j] = new
                     else:
                         del obj[j]
-            new_den = self.obj_den * prc
-            if new_den < 0:
-                new_den = -new_den
-                for j in obj:
-                    obj[j] = -obj[j]
-            g = new_den
+            g = self.obj_den * prc
             for value in obj.values():
                 if g == 1:
                     break
                 g = gcd(g, value)
+            self.obj_den = self.obj_den * prc
             if g > 1:
-                new_den //= g
+                self.obj_den //= g
                 for j in obj:
                     obj[j] //= g
-            self.obj_den = new_den
         self.basis[r] = c
         self.pivots += 1
 
-    def run(self) -> None:
-        """Primal simplex with Bland's rule until optimality.
+    def _iterate(self) -> str:
+        """Primal simplex with Bland's rule until optimal or unbounded.
 
-        Entering: the smallest column with positive reduced cost (the sign
-        of the integer numerator — ``obj_den > 0`` is an invariant).
+        Entering: the smallest column with positive reduced cost.
         Leaving: the minimum-ratio row, ties broken toward the smallest
         basic variable; ratios compare by integer cross-multiplication.
         Each iteration ticks the ambient budget, so deadlines and step
-        bounds interrupt long pivot sequences exactly as in the dense core.
+        bounds interrupt long pivot sequences.
         """
         tick = current_budget().tick
         while True:
             tick()
             entering = min(
-                (j for j, v in self.obj_num.items() if v > 0), default=-1)
+                (j for j, v in self.obj.items() if v > 0), default=-1)
             if entering < 0:
-                return
+                return OPTIMAL
             leaving = -1
             best_num = best_den = 0  # best ratio = best_num / best_den
             for i in self.cols.get(entering, ()):  # only rows with the column
                 coeff = self.num[i][entering]
                 if coeff <= 0:
                     continue
-                # ratio rhs[i]/coeff vs best: cross-multiply (both dens > 0)
                 if leaving < 0:
                     better = True
                 else:
@@ -212,10 +253,32 @@ class SparseTableau:
                 if better:
                     leaving, best_num, best_den = i, self.rhs[i], coeff
             if leaving < 0:
-                raise LinearSystemError(
-                    "max-support LP is unbounded; it is bounded by "
-                    "construction (t ≤ 1), this cannot happen")
+                return UNBOUNDED
             self.pivot(leaving, entering)
+
+    def solve(self) -> str:
+        """Run Phase 1 (when a row has an artificial) and Phase 2; return
+        ``OPTIMAL``, ``UNBOUNDED`` or ``INFEASIBLE``."""
+        if self.artificial:
+            self._price({a: -1 for a in self.artificial})
+            self._iterate()  # bounded above by zero, so always optimal
+            if any(self.rhs[i] for i, var in enumerate(self.basis)
+                   if var in self.artificial):
+                return INFEASIBLE
+            for i, var in enumerate(self.basis):
+                if var in self.artificial:
+                    entering = min((j for j in self.num[i]
+                                    if j not in self.artificial), default=-1)
+                    if entering >= 0:
+                        self.pivot(i, entering)
+            # Non-basic artificials stay at zero from here on.  A row whose
+            # artificial is still basic has no other entry: it is redundant
+            # and no pivot touches it.
+            for artificial in self.artificial - set(self.basis):
+                for i in self.cols.pop(artificial, ()):
+                    del self.num[i][artificial]
+        self._price(self.objective)
+        return self._iterate()
 
     def solution(self) -> list[Fraction]:
         """Structural-variable values at the current (optimal) basis."""
@@ -226,96 +289,74 @@ class SparseTableau:
         return values
 
 
-def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
-    """The max-support LP over grouped columns on the sparse tableau.
+def _integer_row(row: Mapping[int, object], bound) -> tuple[dict[int, int], int]:
+    """A rational row and its right-hand side scaled to integers."""
+    scale = lcm(bound.denominator, *(v.denominator for v in row.values()))
+    return {j: int(v * scale) for j, v in row.items()}, int(bound * scale)
 
-    Same contract as
-    :func:`repro.linear.backends.solve_exact_groups` — ``groups`` from
-    :func:`~repro.linear.backends.grouped_columns`, ``rows`` as sparse
-    ``{group: Fraction}`` dicts — but solved by the single-phase sparse
-    fraction-free simplex.  Returns ``(group x-values, pivot count)``.
+
+def solve_lp(c: Sequence, rows: Sequence[Mapping[int, object]],
+             b: Sequence, *, maximize: bool = True) -> LpResult:
+    """Solve ``max (or min) c·x  s.t.  rows·x ≤ b, x ≥ 0`` exactly.
+
+    ``rows`` are sparse ``{column: coefficient}`` dicts over the columns
+    ``0 .. len(c)-1``.  Costs, coefficients and right-hand sides are
+    coerced to :class:`~fractions.Fraction`, and each row is scaled to
+    integers for the tableau.  Returns an :class:`LpResult` whose status is
+    one of ``optimal``, ``unbounded``, ``infeasible``.
+    """
+    n = len(c)
+    if len(b) != len(rows):
+        raise LinearSystemError(
+            f"{len(rows)} constraint rows but {len(b)} right-hand sides")
+    int_rows: list[dict[int, int]] = []
+    int_rhs: list[int] = []
+    for row, bound in zip(rows, b):
+        if any(not 0 <= j < n for j in row):
+            raise LinearSystemError(
+                f"constraint row names column(s) outside 0..{n - 1}: "
+                f"{sorted(row)}")
+        int_row, int_bound = _integer_row(
+            {j: Fraction(v) for j, v in row.items()}, Fraction(bound))
+        int_rows.append(int_row)
+        int_rhs.append(int_bound)
+    cost = [Fraction(v) for v in c]
+    sign = 1 if maximize else -1
+    tableau = SparseTableau(int_rows, int_rhs,
+                            {j: sign * v for j, v in enumerate(cost)}, n)
+    status = tableau.solve()
+    if status != OPTIMAL:
+        return LpResult(status, pivots=tableau.pivots)
+    solution = tuple(tableau.solution())
+    objective = sum((v * x for v, x in zip(cost, solution)), Fraction(0))
+    return LpResult(OPTIMAL, objective, solution, tableau.pivots)
+
+
+def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
+    """The max-support LP over grouped columns.
+
+    ``groups`` from :func:`~repro.linear.backends.grouped_columns`, ``rows``
+    as sparse ``{group: Fraction}`` dicts ``≤ 0``.  Maximizes ``Σ t_g``
+    subject to the rows, ``t_g ≤ x_g`` and ``t_g ≤ 1``; returns
+    ``(group x-values, pivot count)``.  Every right-hand side is
+    nonnegative, so the tableau skips Phase 1.
     """
     k = len(groups)
     int_rows: list[dict[int, int]] = []
     rhs: list[int] = []
     for row in rows:
-        scale = lcm(*(coeff.denominator for coeff in row.values()))
-        int_rows.append({g: int(coeff * scale) for g, coeff in row.items()})
+        int_rows.append(_integer_row(row, 0)[0])
         rhs.append(0)
     for g in range(k):
         int_rows.append({g: -1, k + g: 1})   # t_g - x_g ≤ 0
         rhs.append(0)
         int_rows.append({k + g: 1})          # t_g ≤ 1
         rhs.append(1)
-    objective = {k + g: 1 for g in range(k)}
-    tableau = SparseTableau(int_rows, rhs, objective, 2 * k)
-    tableau.run()
+    tableau = SparseTableau(int_rows, rhs, {k + g: 1 for g in range(k)},
+                            2 * k)
+    status = tableau.solve()
+    if status != OPTIMAL:
+        raise LinearSystemError(
+            f"max-support LP ended with status {status}; it is feasible at "
+            "zero and bounded, this cannot happen")
     return tableau.solution()[:k], tableau.pivots
-
-
-# ----------------------------------------------------------------------
-# Section 4.4: the hierarchy closed form
-# ----------------------------------------------------------------------
-def hierarchy_witness(system: PsiSystem,
-                      active: Sequence[int]) -> Optional[dict[int, Fraction]]:
-    """Construct-and-verify the §4.4 closed-form answer.
-
-    For a detected generalization hierarchy whose propagation fixpoint left
-    ``active`` alive, *every* active unknown is supportable, and a witness
-    is directly constructible: each compound class counts 1 object, and the
-    live summands of each ``Natt``/``Nrel`` entry share the entry's
-    feasible mass (the upper bound when finite, else ``max(lower, 1)``)
-    equally.  The construction applies when each active compound unknown is
-    governed by at most one bound entry — true of hierarchy-shaped systems,
-    where attributes have no inverse declarations and no relations exist.
-
-    Returns the witness only after **exact verification** against every
-    disequation (inactive unknowns at zero) and the acceptability condition,
-    so a ``None`` result (construction or verification failed) simply sends
-    the caller to the ordinary LP — the closed form can never change a
-    verdict, only skip the solver.
-    """
-    active_set = set(active)
-    values: dict[int, Fraction] = {}
-    for index in active_set:
-        if any(endpoint not in active_set
-               for endpoint in system.endpoints_of(index)):
-            return None  # acceptability not yet propagated; let the LP pin
-    for index in system.class_unknown_indices():
-        if index in active_set:
-            values[index] = Fraction(1)
-    assigned: set[int] = set()
-    for class_index, summands, card, _origin in bound_entries(system):
-        live = [s for s in summands if s in active_set]
-        if not live:
-            # The lower row needs live partners when the class is active —
-            # the propagation rules pin such classes before we get here.
-            if class_index in active_set and card.lower >= 1:
-                return None
-            continue
-        if class_index not in active_set:
-            if card.upper is not INFINITY:
-                return None  # summands should have been pinned already
-            continue  # only ``lower·0 ≤ Σ``: vacuous for positive summands
-        if card.is_empty():
-            return None
-        mass = card.upper if card.upper is not INFINITY else max(card.lower, 1)
-        if mass <= 0:
-            return None
-        share = Fraction(mass, len(live))
-        for s in live:
-            if s in assigned:
-                return None  # coupled entries (inverses/relations): use LP
-            values[s] = share
-            assigned.add(s)
-    for index in active_set:
-        values.setdefault(index, Fraction(1))  # unconstrained compounds
-    # The safety net making the closed form unconditionally sound: every
-    # disequation re-checked exactly, like any other backend certificate.
-    zero = Fraction(0)
-    for constraint in system.constraints:
-        total = sum((coeff * values.get(var, zero)
-                     for var, coeff in constraint.coefficients), zero)
-        if total > 0:
-            return None
-    return values

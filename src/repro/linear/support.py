@@ -27,18 +27,12 @@ The computation:
 3. Pin everything the LP zeroed and repeat until nothing changes.
 
 The LP arithmetic lives behind the backend registry of
-:mod:`repro.linear.backends`: ``"exact"`` (the dense rational simplex,
-the reference core), ``"exact-sparse"`` (the sparse fraction-free simplex
-with the §4.4 hierarchy closed form), ``"float-fallback"`` (HiGHS
-float-first with exact re-verification and an exact safety net), and
-``"auto"`` (size-based choice).  Because the maximal support is unique,
-every sound backend yields the same verdicts — the differential suite in
-``tests/test_backends.py`` pins all of them to identical support sets.
-
-When the caller knows the schema is a detected generalization hierarchy it
-passes ``hierarchy=True``; the hint is forwarded only to backends whose
-declared capabilities include closed-form support, which then answer via
-the Section 4.4 construct-and-verify path with zero simplex pivots.
+:mod:`repro.linear.backends`: ``"exact-sparse"`` (the sparse fraction-free
+rational simplex), ``"float-fallback"`` (HiGHS float-first with exact
+re-verification and an exact safety net), and ``"auto"`` (size-based
+choice).  Because the maximal support is unique, every sound backend yields
+the same verdicts — the differential suite in ``tests/test_backends.py``
+pins all of them to identical support sets.
 """
 
 from __future__ import annotations
@@ -55,13 +49,12 @@ from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 from .backends import (
     EXACT_BACKEND_LIMIT,
     LpBackend,
-    backend_capabilities,
     get_backend,
     grouped_columns,
     rationalize,
     verify_rows,
 )
-from .simplex import OPTIMAL, solve_lp
+from .sparse import OPTIMAL, solve_lp
 from .system import PsiSystem, Unknown, bound_entries, build_system
 
 __all__ = ["SupportResult", "acceptable_support", "minimize_witness", "PinEvent"]
@@ -221,22 +214,9 @@ def _minimized_witness(system: PsiSystem, active: list[int],
                 values = candidate
                 break
     if values is None and len(groups) <= EXACT_BACKEND_LIMIT:
-        k = len(groups)
-        a_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
-        for row in rows:
-            dense = [Fraction(0)] * k
-            for g, coeff in row.items():
-                dense[g] = coeff
-            a_ub.append(dense)
-            b_ub.append(Fraction(0))
-        for row in lower_rows:
-            dense = [Fraction(0)] * k
-            for g, coeff in row.items():
-                dense[g] = coeff
-            a_ub.append(dense)
-            b_ub.append(Fraction(-1))
-        outcome = solve_lp([Fraction(1)] * k, a_ub, b_ub, maximize=False)
+        outcome = solve_lp([1] * len(groups), rows + lower_rows,
+                           [0] * len(rows) + [-1] * len(lower_rows),
+                           maximize=False)
         if outcome.status == OPTIMAL:
             values = list(outcome.solution)
     if values is None:
@@ -285,25 +265,15 @@ def acceptable_support(source: Expansion | PsiSystem,
                        use_propagation: bool = True,
                        merge_columns: bool = True,
                        restrict_to: Optional[Sequence[int]] = None,
-                       hierarchy: bool = False,
                        tracer: "Tracer | NullTracer" = NULL_TRACER
                        ) -> SupportResult:
     """Compute the maximal acceptable support of ``Ψ_S``.
 
     Accepts either an :class:`Expansion` (the system is built on the fly) or
     a prebuilt :class:`PsiSystem`.  ``backend`` selects the LP arithmetic
-    core by registry name or parameterized spec — ``"auto"`` (default),
-    ``"exact"``, ``"exact-sparse"``, ``"float-fallback"``,
-    ``"auto:limit=500"`` — or may be any object implementing the
+    core by registry name — ``"auto"`` (default), ``"exact-sparse"``,
+    ``"float-fallback"`` — or may be any object implementing the
     :class:`~repro.linear.backends.LpBackend` protocol.
-
-    ``hierarchy`` asserts the source schema was detected as a
-    generalization hierarchy (Section 4.4).  Backends whose capabilities
-    declare closed-form support then construct the witness directly and
-    verify it exactly instead of running the simplex; the hint is never
-    forwarded to backends without that capability, and a failed
-    construction silently falls back to the LP, so it can only skip work,
-    never change a verdict.
 
     ``use_propagation`` and ``merge_columns`` disable the two engineering
     optimizations (combinatorial pre-pinning and interchangeable-column
@@ -322,14 +292,12 @@ def acceptable_support(source: Expansion | PsiSystem,
     iterations), each round's :attr:`RoundSolution.metrics
     <repro.linear.backends.RoundSolution.metrics>` (the documented
     :data:`~repro.linear.backends.METRIC_KEYS` schema — ``lp.pivots``,
-    ``lp.exact_solves``, ``lp.sparse_solves``, ``lp.float_solves``,
-    ``lp.hierarchy_closed_form``, ``lp.degenerate_detections``,
+    ``lp.sparse_solves``, ``lp.float_solves``, ``lp.degenerate_detections``,
     ``lp.float_exact_fallbacks``, ``lp.rationalize_repairs``), and the pin
     tallies ``support.pins_acceptability`` / ``support.pins_propagation`` /
     ``support.pins_linear``.
     """
     lp = get_backend(backend)
-    forward_hierarchy = hierarchy and backend_capabilities(lp).closed_form
     system = source if isinstance(source, PsiSystem) else build_system(source)
     entries = bound_entries(system)
     if restrict_to is None:
@@ -345,12 +313,8 @@ def acceptable_support(source: Expansion | PsiSystem,
         if use_propagation:
             while _propagate(system, active, entries, log, rounds):
                 pass
-        if forward_hierarchy:
-            solution = lp.solve(system, sorted(active),
-                                merge_columns=merge_columns, hierarchy=True)
-        else:
-            solution = lp.solve(system, sorted(active),
-                                merge_columns=merge_columns)
+        solution = lp.solve(system, sorted(active),
+                            merge_columns=merge_columns)
         for name, amount in solution.metrics.items():
             tracer.add(name, amount)
         values, support, backend_used = (solution.values,

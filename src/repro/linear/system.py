@@ -201,9 +201,8 @@ def build_system(expansion: Expansion) -> PsiSystem:
 def bound_entries(system: PsiSystem):
     """``(class_index, summand_indices, card, origin)`` per Natt/Nrel entry.
 
-    The per-entry view of the system the combinatorial layers work from:
-    the propagation rules of :mod:`repro.linear.support` and the §4.4
-    closed form of :mod:`repro.linear.sparse` both reason entry-by-entry
+    The per-entry view of the system the propagation rules of
+    :mod:`repro.linear.support` work from: they reason entry-by-entry
     rather than row-by-row (an entry owns its lower *and* upper row).
     """
     expansion = system.expansion

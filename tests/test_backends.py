@@ -3,11 +3,11 @@
 The maximal acceptable support of ``Ψ_S`` is unique (solutions of the
 homogeneous system are closed under addition), so every sound backend must
 compute the *same* support set — backends may only differ in witness values
-and wall-clock.  The differential tests here pin ``"exact"``,
-``"exact-sparse"``, and ``"float-fallback"`` to identical verdicts on
-seeded random schemas and on hypothesis-generated rich schemas, and the
-capability tests pin the redesigned registry API (described entries,
-parameterized specs, deprecated aliases, the §4.4 closed-form path).
+and wall-clock.  The differential tests here pin ``"exact-sparse"`` and
+``"float-fallback"`` (answering through scipy's HiGHS, an independent
+solver) to identical verdicts on seeded random schemas and on
+hypothesis-generated rich schemas, and the capability tests pin the
+registry API (described entries, aliases, capability contracts).
 """
 
 from fractions import Fraction
@@ -22,7 +22,6 @@ from repro.linear.backends import (
     AutoBackend,
     BackendCapabilities,
     BackendDescription,
-    ExactBackend,
     FloatFallbackBackend,
     LpBackend,
     RoundSolution,
@@ -51,30 +50,31 @@ class TestRegistry:
         entries = available_backends()
         assert all(isinstance(entry, BackendDescription) for entry in entries)
         names = {entry.name for entry in entries}
-        assert {"exact", "exact-sparse", "float-fallback", "auto"} <= names
+        assert names == {"exact-sparse", "float-fallback", "auto"}
 
     def test_described_entries_fold_aliases(self):
-        by_name = {entry.name: entry for entry in available_backends()}
-        fallback = by_name["float-fallback"]
-        assert "float" in fallback.aliases
-        assert "float" in fallback.deprecated_aliases
-        assert "limit" in by_name["auto"].parameters
+        from repro.linear import backends
 
-    def test_float_alias_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match='alias "float"'):
-            resolved = get_backend("float")
-        assert resolved is get_backend("float-fallback")
+        sparse = get_backend("exact-sparse")
+        register_backend(sparse, "test-alias")
+        try:
+            assert get_backend("test-alias") is sparse
+            by_name = {entry.name: entry for entry in available_backends()}
+            assert "test-alias" not in by_name
+            assert by_name["exact-sparse"].aliases == ("test-alias",)
+        finally:
+            backends._REGISTRY.pop("test-alias", None)
 
     def test_unknown_name_raises(self):
         with pytest.raises(LinearSystemError, match="unknown LP backend"):
             get_backend("bogus")
 
     def test_instances_satisfy_the_protocol(self):
-        for name in ("exact", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             assert isinstance(get_backend(name), LpBackend)
 
     def test_backend_instance_passes_through(self):
-        backend = ExactBackend()
+        backend = SparseExactBackend()
         assert get_backend(backend) is backend
 
     def test_non_backend_object_rejected(self):
@@ -87,7 +87,7 @@ class TestRegistry:
 
             def __init__(self):
                 self.calls = 0
-                self._inner = ExactBackend()
+                self._inner = SparseExactBackend()
 
             def solve(self, system, positive_indices, *, merge_columns=True):
                 self.calls += 1
@@ -101,7 +101,7 @@ class TestRegistry:
                                         backend="test-tracing")
             assert tracing.calls >= 1
             reference = acceptable_support(build_expansion(schema),
-                                           backend="exact")
+                                           backend="exact-sparse")
             assert result.support == reference.support
         finally:
             from repro.linear import backends
@@ -111,18 +111,15 @@ class TestRegistry:
 
 class TestCapabilityContract:
     def test_builtin_capabilities(self):
-        assert get_backend("exact").capabilities() == BackendCapabilities(
-            arithmetic="exact-rational", sparse=False, closed_form=False,
-            degeneracy="bland-anticycling")
-        sparse = get_backend("exact-sparse").capabilities()
-        assert sparse.sparse and sparse.closed_form
-        assert sparse.arithmetic == "exact-rational"
+        assert get_backend("exact-sparse").capabilities() == \
+            BackendCapabilities(arithmetic="exact-rational", sparse=True,
+                                degeneracy="bland-anticycling")
         assert get_backend("auto").capabilities().arithmetic == "hybrid"
         assert (get_backend("float-fallback").capabilities().degeneracy
                 == "ambiguity-band-exact-fallback")
 
     def test_describe_matches_capabilities(self):
-        for name in ("exact", "exact-sparse", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             backend = get_backend(name)
             description = backend.describe()
             assert description.name == name
@@ -137,7 +134,6 @@ class TestCapabilityContract:
                 raise NotImplementedError
 
         capabilities = backend_capabilities(Bare())
-        assert not capabilities.closed_form
         assert not capabilities.sparse
         description = describe_backend(Bare())
         assert description.name == "bare"
@@ -146,39 +142,19 @@ class TestCapabilityContract:
         entry = get_backend("auto").describe()
         as_dict = entry.as_dict()
         assert as_dict["name"] == "auto"
-        assert as_dict["capabilities"]["closed_form"] is True
-        assert as_dict["parameters"] == ["limit"]
+        assert as_dict["capabilities"] == {
+            "arithmetic": "hybrid", "sparse": True,
+            "degeneracy": "ambiguity-band-exact-fallback"}
 
 
 class TestParameterizedSpecs:
-    def test_auto_limit_spec(self):
-        backend = get_backend("auto:limit=5")
-        assert isinstance(backend, AutoBackend)
-        assert backend._limit == 5
-
-    def test_spec_validates_in_engine_config(self):
-        assert EngineConfig(lp_backend="auto:limit=500").lp_backend == \
-            "auto:limit=500"
-
-    def test_nonpositive_limit_rejected(self):
-        with pytest.raises(LinearSystemError, match="must be positive"):
-            get_backend("auto:limit=0")
-
-    def test_unparameterized_backend_rejects_params(self):
-        with pytest.raises(LinearSystemError, match="takes no spec"):
-            get_backend("exact:limit=5")
-
-    def test_malformed_params_rejected(self):
-        with pytest.raises(LinearSystemError, match="malformed"):
-            get_backend("auto:limit")
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(LinearSystemError, match="bad parameters"):
-            get_backend("auto:bogus=3")
+    """Backends are selected by name only: a ``name:key=value`` string is
+    just an unknown name."""
 
     def test_unknown_name_with_params_rejected(self):
-        with pytest.raises(LinearSystemError, match="unknown LP backend"):
-            get_backend("bogus:limit=5")
+        for spec in ("bogus:limit=5", "auto:limit=5"):
+            with pytest.raises(LinearSystemError, match="unknown LP backend"):
+                get_backend(spec)
 
 
 class TestMetricSchema:
@@ -196,7 +172,7 @@ class TestMetricSchema:
         from repro.linear.backends import METRIC_KEYS
 
         system = build_system(build_expansion(random_schema(5, seed=4)))
-        for name in ("exact", "exact-sparse", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             solution = get_backend(name).solve(
                 system, list(range(system.n_unknowns())))
             assert set(solution.metrics) <= METRIC_KEYS
@@ -205,15 +181,15 @@ class TestMetricSchema:
 class TestRoundSolutions:
     def test_exact_solution_is_rational_and_acceptable(self):
         system = build_system(build_expansion(random_schema(5, seed=1)))
-        solution = ExactBackend().solve(
+        solution = SparseExactBackend().solve(
             system, list(range(system.n_unknowns())))
         assert isinstance(solution, RoundSolution)
         assert all(isinstance(v, Fraction) for v in solution.values.values())
-        assert solution.backend_used in ("exact", "propagation")
+        assert solution.backend_used in ("exact-sparse", "propagation")
 
     def test_empty_candidates_need_no_lp(self):
         system = build_system(build_expansion(random_schema(4, seed=2)))
-        for name in ("exact", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             solution = get_backend(name).solve(system, [])
             assert solution.supported == frozenset()
             assert solution.backend_used == "propagation"
@@ -226,37 +202,46 @@ class TestRoundSolutions:
 
 
 class TestAutoRouting:
-    """`auto` routes by LP column count, with the default cutoff at the
-    measured sparse/float crossover (`SPARSE_BACKEND_LIMIT`)."""
+    """`auto` routes by LP column count, with the cutoff at the measured
+    sparse/float crossover (`SPARSE_BACKEND_LIMIT`); tests force a route
+    by patching the constant."""
 
     def test_default_limit_is_the_measured_crossover(self):
         from repro.linear.backends import SPARSE_BACKEND_LIMIT
 
         assert SPARSE_BACKEND_LIMIT == 400
-        assert AutoBackend()._limit == SPARSE_BACKEND_LIMIT
+        assert str(SPARSE_BACKEND_LIMIT) in AutoBackend().describe().summary
 
-    def test_routes_small_systems_to_the_sparse_core(self):
+    def test_routes_small_systems_to_the_sparse_core(self, monkeypatch):
+        from repro.linear import backends
+
+        monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 10 ** 6)
         system = build_system(build_expansion(random_schema(5, seed=1)))
-        solution = AutoBackend(limit=10 ** 6).solve(
+        solution = AutoBackend().solve(
             system, list(range(system.n_unknowns())))
         assert solution.backend_used == "exact-sparse"
         assert solution.metrics.get("lp.sparse_solves", 0) == 1
 
-    def test_routes_large_systems_to_the_float_core(self):
+    def test_routes_large_systems_to_the_float_core(self, monkeypatch):
+        from repro.linear import backends
+
+        pytest.importorskip("scipy.optimize")
+        monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 1)
         system = build_system(build_expansion(random_schema(5, seed=1)))
-        solution = AutoBackend(limit=1).solve(
+        solution = AutoBackend().solve(
             system, list(range(system.n_unknowns())))
-        # "float" when scipy answered, "exact" via the verified fallback —
-        # either way the sparse core was bypassed.
-        assert solution.backend_used in ("float", "exact")
+        assert solution.backend_used == "float"
         assert "lp.sparse_solves" not in solution.metrics
 
-    def test_routing_preserves_verdicts(self):
+    def test_routing_preserves_verdicts(self, monkeypatch):
+        from repro.linear import backends
+
         schema = random_schema(6, seed=3)
         expansion = build_expansion(schema)
-        supports = {
-            acceptable_support(expansion, backend=f"auto:limit={limit}").support
-            for limit in (1, 10 ** 6)}
+        supports = set()
+        for limit in (1, 10 ** 6):
+            monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", limit)
+            supports.add(acceptable_support(expansion, backend="auto").support)
         assert len(supports) == 1
 
 
@@ -265,7 +250,7 @@ class TestBackendEquivalence:
     verdicts cannot depend on the arithmetic core."""
 
     SEEDS = range(8)
-    BACKENDS = ("exact", "exact-sparse", "float-fallback")
+    BACKENDS = ("exact-sparse", "float-fallback")
 
     def support_sets(self, schema):
         expansion = build_expansion(schema)
@@ -274,6 +259,10 @@ class TestBackendEquivalence:
 
     def assert_agree(self, results):
         assert len({result.support for result in results}) == 1
+        # The float-fallback answer came from HiGHS ("propagation": no LP
+        # was left to solve), so the sparse core is compared with an
+        # independent solver rather than with its own safety net.
+        assert results[1].backend_used in ("float", "propagation")
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_schemas(self, seed):
@@ -290,7 +279,7 @@ class TestBackendEquivalence:
     def test_reasoner_verdicts_per_backend(self, seed):
         schema = random_schema(6, seed=seed)
         verdicts = {}
-        for backend in ("exact", "exact-sparse", "float-fallback", "auto"):
+        for backend in ("exact-sparse", "float-fallback", "auto"):
             reasoner = Reasoner(
                 schema, config=EngineConfig(lp_backend=backend))
             verdicts[backend] = tuple(reasoner.satisfiable_classes())
@@ -317,101 +306,29 @@ class TestBackendEquivalence:
 
 
 class TestStrategyBackendSweep:
-    """Sparse vs dense exact across enumeration strategies: the Phase-1
-    strategy decides *which* compound classes exist, the backend decides the
-    arithmetic — verdicts must be invariant in both dimensions."""
+    """Sparse exact vs float-fallback across enumeration strategies: the
+    Phase-1 strategy decides *which* compound classes exist, the backend
+    decides the arithmetic — verdicts must be invariant in both
+    dimensions."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("strategy", ("naive", "strategic", "auto"))
     def test_random_verdicts_invariant(self, seed, strategy):
         schema = random_schema(5, seed=seed)
         verdicts = {}
-        for backend in ("exact", "exact-sparse"):
+        for backend in ("exact-sparse", "float-fallback"):
             reasoner = Reasoner(schema, config=EngineConfig(
                 strategy=strategy, lp_backend=backend))
             verdicts[backend] = tuple(reasoner.satisfiable_classes())
-        assert verdicts["exact"] == verdicts["exact-sparse"]
+        assert verdicts["exact-sparse"] == verdicts["float-fallback"]
 
     @pytest.mark.parametrize("strategy", ("naive", "strategic", "hierarchy",
                                           "auto"))
     def test_hierarchy_verdicts_invariant(self, strategy):
         schema = hierarchy_schema(2, 3, with_attributes=True, seed=3)
         verdicts = {}
-        for backend in ("exact", "exact-sparse", "auto"):
+        for backend in ("exact-sparse", "float-fallback", "auto"):
             reasoner = Reasoner(schema, config=EngineConfig(
                 strategy=strategy, lp_backend=backend))
             verdicts[backend] = tuple(reasoner.satisfiable_classes())
         assert len(set(verdicts.values())) == 1, verdicts
-
-
-class TestClosedForm:
-    """The §4.4 short-circuit: hierarchy-flagged systems answer without a
-    single simplex pivot, and never change a verdict."""
-
-    def test_hierarchy_flag_takes_closed_form(self):
-        system = build_system(build_expansion(
-            hierarchy_schema(3, 3, with_attributes=True, seed=1)))
-        plain = acceptable_support(system, backend="exact-sparse")
-        flagged = acceptable_support(system, backend="exact-sparse",
-                                     hierarchy=True)
-        assert flagged.support == plain.support
-        assert flagged.backend_used == "closed-form"
-
-    def test_closed_form_pivots_are_zero(self):
-        system = build_system(build_expansion(
-            hierarchy_schema(2, 3, with_attributes=True, seed=5)))
-        solution = SparseExactBackend().solve(
-            system, list(range(system.n_unknowns())), hierarchy=True)
-        assert solution.backend_used == "closed-form"
-        assert solution.metrics == {"lp.hierarchy_closed_form": 1}
-        assert "lp.pivots" not in solution.metrics
-
-    def test_closed_form_witness_verifies_exactly(self):
-        system = build_system(build_expansion(
-            hierarchy_schema(3, 2, with_attributes=True, seed=7)))
-        result = acceptable_support(system, backend="exact-sparse",
-                                    hierarchy=True)
-        assert result.backend_used == "closed-form"
-        for constraint in system.constraints:
-            total = sum((coeff * result.solution[var]
-                         for var, coeff in constraint.coefficients),
-                        Fraction(0))
-            assert total <= 0
-        for index in result.support:
-            assert result.solution[index] > 0
-
-    def test_flag_on_non_hierarchy_is_harmless(self):
-        """A schema that is not hierarchy-shaped fails the construct-and-
-        verify attempt and silently takes the ordinary LP."""
-        system = build_system(build_expansion(random_schema(6, seed=2)))
-        flagged = acceptable_support(system, backend="exact-sparse",
-                                     hierarchy=True)
-        plain = acceptable_support(system, backend="exact")
-        assert flagged.support == plain.support
-
-    def test_flag_never_reaches_closed_form_free_backends(self):
-        """Foreign backends without the capability keep the old solve
-        signature and must not receive the hierarchy keyword."""
-
-        class Strict:
-            name = "test-strict"
-
-            def __init__(self):
-                self._inner = ExactBackend()
-
-            def solve(self, system, positive_indices, *, merge_columns=True):
-                return self._inner.solve(system, positive_indices,
-                                         merge_columns=merge_columns)
-
-        register_backend(Strict())
-        try:
-            system = build_system(build_expansion(
-                hierarchy_schema(2, 2, with_attributes=True, seed=0)))
-            result = acceptable_support(system, backend="test-strict",
-                                        hierarchy=True)
-            reference = acceptable_support(system, backend="exact")
-            assert result.support == reference.support
-        finally:
-            from repro.linear import backends
-
-            backends._REGISTRY.pop("test-strict", None)

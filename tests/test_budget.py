@@ -25,7 +25,7 @@ from repro.expansion.enumerate import (
     naive_compound_classes,
 )
 from repro.expansion.expansion import build_expansion
-from repro.linear.simplex import solve_lp
+from repro.linear.sparse import solve_lp
 from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import clustered_schema, wide_attribute_schema
@@ -134,7 +134,7 @@ class TestHotLoopsHonorBudget:
         # A 6-variable LP needing several pivots.
         n = 6
         c = [1] * n
-        a_ub = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+        a_ub = [{j: 1 if i == j else 2 for j in range(n)} for i in range(n)]
         b_ub = [10] * n
         with use_budget(Budget(max_steps=2)):
             with pytest.raises(BudgetExceeded):

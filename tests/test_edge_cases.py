@@ -99,8 +99,8 @@ class TestSupportIntrospection:
         from repro.linear.support import acceptable_support
 
         schema = parse_schema("class A isa B endclass")
-        result = acceptable_support(build_expansion(schema), backend="exact")
-        assert result.backend_used in ("exact", "propagation")
+        result = acceptable_support(build_expansion(schema), backend="exact-sparse")
+        assert result.backend_used in ("exact-sparse", "propagation")
 
 
 class TestReasonerGuards:

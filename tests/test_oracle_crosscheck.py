@@ -115,7 +115,7 @@ def test_lp_backends_agree(schema, target):
     from repro.linear.support import acceptable_support
 
     expansion = build_expansion(schema)
-    exact = acceptable_support(expansion, backend="exact")
+    exact = acceptable_support(expansion, backend="exact-sparse")
     floaty = acceptable_support(expansion, backend="float-fallback")
     assert exact.support == floaty.support
 

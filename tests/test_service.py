@@ -309,10 +309,8 @@ class TestIntrospection:
         assert backend["spec"] == "auto"
         assert backend["name"] == "auto"
         capabilities = backend["capabilities"]
-        assert capabilities["closed_form"] is True
         assert capabilities["sparse"] is True
-        assert set(capabilities) == {"arithmetic", "sparse", "closed_form",
-                                     "degeneracy"}
+        assert set(capabilities) == {"arithmetic", "sparse", "degeneracy"}
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Unit tests for the exact rational simplex, cross-checked against scipy."""
+"""Unit tests for the exact sparse simplex, cross-checked against scipy.
+
+``solve_lp`` takes sparse ``{column: coefficient}`` rows; the cases below
+are written densely for readability and converted by :func:`sparse`.
+"""
 
 import random
 from fractions import Fraction
@@ -6,7 +10,18 @@ from fractions import Fraction
 import pytest
 
 from repro.core.errors import LinearSystemError
-from repro.linear.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from repro.linear.sparse import INFEASIBLE, OPTIMAL, UNBOUNDED
+from repro.linear.sparse import solve_lp as solve_sparse_lp
+
+
+def sparse(rows):
+    """Dense rows → the ``{column: coefficient}`` dicts ``solve_lp`` takes."""
+    return [{j: value for j, value in enumerate(row) if value}
+            for row in rows]
+
+
+def solve_lp(c, a_ub, b_ub, **kwargs):
+    return solve_sparse_lp(c, sparse(a_ub), b_ub, **kwargs)
 
 
 class TestBasicSolves:
@@ -57,8 +72,9 @@ class TestBasicSolves:
         assert result.solution[0] == Fraction(7, 4)
 
     def test_row_width_mismatch_rejected(self):
+        # A sparse row naming a column beyond ``c`` is the mismatch here.
         with pytest.raises(LinearSystemError):
-            solve_lp([1, 1], [[1]], [1])
+            solve_sparse_lp([1, 1], [{2: 1}], [1])
 
     def test_rhs_length_mismatch_rejected(self):
         with pytest.raises(LinearSystemError):
@@ -91,8 +107,10 @@ class TestHomogeneousSystems:
 class TestAgainstScipy:
     """Randomized differential test against scipy's HiGHS solver."""
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_random_bounded_lps(self, seed):
+    @pytest.mark.parametrize("seed,maximize", [
+        pytest.param(seed, maximize, id=f"{seed}" if maximize else f"{seed}-min")
+        for seed in range(25) for maximize in (True, False)])
+    def test_random_bounded_lps(self, seed, maximize):
         scipy_linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random(seed)
         n = rng.randint(1, 5)
@@ -107,12 +125,13 @@ class TestAgainstScipy:
             a_ub.append(row)
             b_ub.append(10)
 
-        exact = solve_lp(c, a_ub, b_ub, maximize=True)
-        reference = scipy_linprog([-v for v in c], A_ub=a_ub, b_ub=b_ub,
+        exact = solve_lp(c, a_ub, b_ub, maximize=maximize)
+        sign = -1 if maximize else 1
+        reference = scipy_linprog([sign * v for v in c], A_ub=a_ub, b_ub=b_ub,
                                   bounds=[(0, None)] * n, method="highs")
         if exact.status == INFEASIBLE:
             assert not reference.success
         else:
             assert exact.status == OPTIMAL
             assert reference.success
-            assert abs(float(exact.objective) + reference.fun) < 1e-6
+            assert abs(float(exact.objective) - sign * reference.fun) < 1e-6

@@ -81,7 +81,7 @@ def test_query_outcome_round_trips_under_spawn(spawn_pool):
 
 def test_engine_config_round_trips_under_spawn(spawn_pool, tmp_path):
     config = EngineConfig(strategy="strategic", size_limit=500,
-                          lp_backend="exact",
+                          lp_backend="exact-sparse",
                           artifact_dir=str(tmp_path / "cache"))
     clone = spawn_round_trip(spawn_pool, config)
     assert clone == config
@@ -91,8 +91,8 @@ def test_engine_config_round_trips_under_spawn(spawn_pool, tmp_path):
 def test_sparse_backend_config_round_trips_under_spawn(spawn_pool):
     """The sparse backend crosses the spawn boundary the same way every
     backend does: as its registry spec inside EngineConfig, revalidated by
-    the child's ``__post_init__`` — including a parameterized auto spec."""
-    for spec in ("exact-sparse", "auto:limit=500"):
+    the child's ``__post_init__``."""
+    for spec in ("exact-sparse", "auto"):
         config = EngineConfig(lp_backend=spec)
         clone = spawn_round_trip(spawn_pool, config)
         assert clone == config
@@ -106,4 +106,4 @@ def test_sparse_backend_instance_round_trips_under_spawn(spawn_pool):
 
     clone = spawn_round_trip(spawn_pool, SparseExactBackend())
     assert clone.name == "exact-sparse"
-    assert clone.capabilities().closed_form
+    assert clone.capabilities().sparse

@@ -162,7 +162,7 @@ class TestBackends:
 
     def test_exact_and_float_agree(self):
         for schema in self.small_schemas():
-            exact = support_of(schema, backend="exact")
+            exact = support_of(schema, backend="exact-sparse")
             floaty = support_of(schema, backend="float-fallback")
             assert exact.support == floaty.support
 
@@ -179,7 +179,7 @@ class TestWitness:
             ClassDef("C", attributes=[Attr("a", Card(1, 2), "D")]),
             ClassDef("D", attributes=[Attr(inv("a"), Card(2, 2), "C")]),
         ])
-        result = support_of(schema, backend="exact")
+        result = support_of(schema, backend="exact-sparse")
         witness = result.integer_solution(scale=3)
         assert all(isinstance(v, int) and v >= 0 for v in witness.values())
         positive = {i for i, v in witness.items() if v > 0}
@@ -198,7 +198,7 @@ class TestWitness:
             ClassDef("C", attributes=[Attr("a", Card(1, 2), "D")]),
             ClassDef("D", attributes=[Attr(inv("a"), Card(2, 2), "C")]),
         ])
-        result = support_of(schema, backend="exact")
+        result = support_of(schema, backend="exact-sparse")
         for constraint in result.system.constraints:
             total = sum(
                 (coeff * result.solution[var] for var, coeff in
@@ -223,7 +223,7 @@ class TestMinimizedWitness:
             ClassDef("C", attributes=[Attr("a", Card(1, 2), "D")]),
             ClassDef("D", attributes=[Attr(inv("a"), Card(2, 2), "C")]),
         ])
-        result = support_of(schema, backend="exact")
+        result = support_of(schema, backend="exact-sparse")
         minimized = minimize_witness(result)
         assert minimized is not None
         # Valid: satisfies every disequation.
