@@ -340,7 +340,13 @@ class Schema:
     * no duplicate class or relation definitions;
     * class, attribute, and relation alphabets are pairwise disjoint;
     * every participation references a defined relation and a declared role.
+
+    A schema is immutable once built.
     """
+
+    #: Memo of :func:`repro.engine.session.schema_fingerprint`, filled on
+    #: first use; immutability means the canonical hash never changes.
+    _fingerprint: Optional[str] = None
 
     def __init__(self, classes: Iterable[ClassDef] = (),
                  relations: Iterable[RelationDef] = ()):

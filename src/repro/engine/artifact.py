@@ -99,8 +99,8 @@ def config_fingerprint(config: "EngineConfig") -> str:
     Only ``strategy`` and ``size_limit`` shape the stored stage products
     (they steer the compound-class enumeration); the LP knobs, the cache
     bounds, and the tracing switch do not, so configs differing only in
-    those share artifacts — e.g. the exact and float-fallback backends
-    rehydrate from the same file.
+    those share artifacts — e.g. the exact-sparse and float-fallback
+    backends rehydrate from the same file.
     """
     material = (f"v{ARTIFACT_SCHEMA_VERSION}"
                 f"|strategy={config.strategy}"
@@ -120,9 +120,9 @@ class SupportSnapshot:
     a previous schema version's system into the new one).
 
     The maximal acceptable support is unique and backend-independent (the
-    differential suite pins exact and float-fallback to identical support
-    sets), so storing it does not fragment the artifact cache per backend
-    the way storing raw LP state would.
+    differential suite pins exact-sparse and float-fallback to identical
+    support sets), so storing it does not fragment the artifact cache per
+    backend the way storing raw LP state would.
     """
 
     backend_used: str

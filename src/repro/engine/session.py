@@ -71,13 +71,18 @@ def schema_fingerprint(schema: SchemaLike) -> str:
     definitions therefore share a fingerprint regardless of definition
     order or the textual route they arrived by; structurally different
     schemas collide only with SHA-256 probability.
+
+    The hash is memoized on the (immutable) schema instance, so repeated
+    lookups of one schema object cost an attribute read.
     """
     schema = _as_schema(schema)
-    canonical = Schema(
-        sorted(schema.class_definitions, key=lambda cdef: cdef.name),
-        sorted(schema.relation_definitions, key=lambda rdef: rdef.name))
-    return hashlib.sha256(
-        render_schema(canonical).encode("utf-8")).hexdigest()
+    if schema._fingerprint is None:
+        canonical = Schema(
+            sorted(schema.class_definitions, key=lambda cdef: cdef.name),
+            sorted(schema.relation_definitions, key=lambda rdef: rdef.name))
+        schema._fingerprint = hashlib.sha256(
+            render_schema(canonical).encode("utf-8")).hexdigest()
+    return schema._fingerprint
 
 
 def _as_schema(schema: SchemaLike) -> Schema:

@@ -39,11 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
 from ..core.cardinality import INFINITY
 from ..core.errors import LinearSystemError
+from ..core.formulas import FormulaLike, as_formula
 from ..expansion.expansion import Expansion
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 from .backends import (
@@ -89,6 +91,14 @@ class SupportResult:
     ``rounds`` counts propagation/LP iterations; ``backend_used`` records
     which LP backend produced the final witness; ``pin_log`` the reason each
     pinned unknown was excluded (consumed by unsatisfiability explanations).
+
+    Every verdict read after the support is known goes through the
+    **verdict index**: the supported compound classes as a tuple and one
+    bitmask per class name over them (:meth:`supported_compound_classes`,
+    :meth:`class_mask`, :meth:`formula_mask`, :meth:`realizes`).  It is
+    derived from the compound-class unknowns on first use and cached on
+    the instance, so fresh, artifact-rehydrated and delta-merged results
+    all carry it without storing it.
     """
 
     system: PsiSystem
@@ -106,10 +116,75 @@ class SupportResult:
     def is_supported(self, unknown: Unknown) -> bool:
         return self.system.index_of(unknown) in self.support
 
-    def supported_compound_classes(self) -> list[frozenset]:
-        """Compound classes that can be simultaneously nonempty."""
-        return [unknown for i, unknown in enumerate(self.system.unknowns)
-                if i in self.support and isinstance(unknown, frozenset)]
+    def supported_compound_classes(self) -> tuple[frozenset, ...]:
+        """Compound classes that can be simultaneously nonempty, in
+        ``Ψ_S`` order.  Bit ``j`` of every :meth:`class_mask` stands for
+        entry ``j``."""
+        return self._compound_classes
+
+    def class_mask(self, name: str) -> int:
+        """Bitmask of the supported compound classes containing class
+        ``name`` (0 when none does: the class is unsatisfiable)."""
+        return self._class_masks.get(name, 0)
+
+    def formula_mask(self, formula: FormulaLike) -> int:
+        """Bitmask of the supported compound classes realizing ``formula``.
+
+        The CNF is evaluated with big-int AND/OR: a positive literal reads
+        its class mask, a negative one the complement within the full
+        mask, and an empty clause reads 0.
+        """
+        masks = self._class_masks
+        full = (1 << len(self._compound_classes)) - 1
+        alive = full
+        for clause in as_formula(formula):
+            satisfying = 0
+            for lit in clause:
+                mask = masks.get(lit.name, 0)
+                satisfying |= mask if lit.positive else full ^ mask
+            alive &= satisfying
+            if not alive:
+                break
+        return alive
+
+    def realizes(self, formula: FormulaLike) -> bool:
+        """Does some supported compound class realize ``formula``?  Equal
+        to ``any(formula.satisfied_by(m) for m in
+        self.supported_compound_classes())``."""
+        return self.formula_mask(formula) != 0
+
+    def compound_classes_in(self, mask: int) -> tuple[frozenset, ...]:
+        """The supported compound classes whose bits ``mask`` sets."""
+        classes = self._compound_classes
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(classes[low.bit_length() - 1])
+            mask ^= low
+        return tuple(found)
+
+    @cached_property
+    def _compound_classes(self) -> tuple[frozenset, ...]:
+        # The compound classes are the prefix of Ψ_S: PsiSystem registers
+        # them first, in expansion order, so the rest is never scanned.
+        support = self.support
+        return tuple(members for index, members
+                     in enumerate(self.system.expansion.compound_classes)
+                     if index in support)
+
+    @cached_property
+    def _class_masks(self) -> dict[str, int]:
+        classes = self._compound_classes
+        bits: dict[str, bytearray] = {}
+        width = (len(classes) + 7) // 8
+        for position, members in enumerate(classes):
+            for name in members:
+                row = bits.get(name)
+                if row is None:
+                    row = bits[name] = bytearray(width)
+                row[position >> 3] |= 1 << (position & 7)
+        return {name: int.from_bytes(row, "little")
+                for name, row in bits.items()}
 
     def integer_solution(self, scale: int = 1) -> dict[int, int]:
         """An integer witness: clear denominators, then multiply by ``scale``.

@@ -70,6 +70,10 @@ class PsiSystem:
 
         self._build_attribute_constraints()
         self._build_relation_constraints()
+        # A built system is never mutated: freeze the views once so that
+        # indexing ``unknowns``/``constraints`` in a loop copies nothing.
+        self._unknowns = tuple(self._unknowns)
+        self._constraints = tuple(self._constraints)
 
     # ------------------------------------------------------------------
     def _register(self, unknown: Unknown) -> int:
@@ -133,11 +137,13 @@ class PsiSystem:
     # ------------------------------------------------------------------
     @property
     def unknowns(self) -> tuple[Unknown, ...]:
-        return tuple(self._unknowns)
+        """Every unknown in index order; the compound classes come first,
+        in ``expansion.compound_classes`` order."""
+        return self._unknowns
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(self._constraints)
+        return self._constraints
 
     def n_unknowns(self) -> int:
         return len(self._unknowns)
@@ -151,11 +157,6 @@ class PsiSystem:
     def size(self) -> int:
         """The paper's ``|Ψ_S|``: unknowns plus total constraint entries."""
         return self.n_unknowns() + self.n_nonzeros()
-
-    def class_unknown_indices(self) -> list[int]:
-        """Indices of the unknowns standing for compound classes."""
-        return [i for i, unknown in enumerate(self._unknowns)
-                if isinstance(unknown, frozenset)]
 
     def endpoints_of(self, index: int) -> list[int]:
         """Indices of the compound-class unknowns that must be positive for

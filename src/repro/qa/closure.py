@@ -25,7 +25,6 @@ hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.budget import current_budget
 from ..core.cardinality import Card, INFINITY
@@ -101,8 +100,9 @@ def build_closure_index(reasoner: Reasoner) -> ClosureIndex:
             subclasses[sup] = subclasses[sup] | {sub}
         tick(len(classification.subsumptions) + len(schema.class_symbols))
 
-        supported = reasoner.supported_compound_classes()
-        containing = {name: [m for m in supported if name in m]
+        support = reasoner.support
+        containing = {name: support.compound_classes_in(
+                          support.class_mask(name))
                       for name in satisfiable}
 
         mandatory_attributes = _mandatory_attributes(

@@ -101,11 +101,11 @@ def implied_attribute_bounds(reasoner: Reasoner, class_name: str,
     """
     _check_class(reasoner, class_name)
     expansion = reasoner.expansion
-    supported = reasoner.supported_compound_classes()
+    support = reasoner.support
+    supported = support.supported_compound_classes()
     hull: Optional[Card] = None
-    for members in supported:
-        if class_name not in members:
-            continue
+    for members in support.compound_classes_in(
+            support.class_mask(class_name)):
         card = expansion.natt.get((members, ref), Card(0, INFINITY))
         if not _has_supported_partner(reasoner, members, ref, supported):
             card = Card(0, 0)
@@ -114,7 +114,8 @@ def implied_attribute_bounds(reasoner: Reasoner, class_name: str,
 
 
 def _has_supported_partner(reasoner: Reasoner, members: frozenset,
-                           ref: AttrRef, supported: list[frozenset]) -> bool:
+                           ref: AttrRef,
+                           supported: tuple[frozenset, ...]) -> bool:
     """Can an instance of compound class ``members`` carry a ``ref``-link in
     some model?
 
@@ -192,14 +193,12 @@ def _enumerated_bad_partner(reasoner: Reasoner, class_name: str,
     )
 
     expansion = reasoner.expansion
-    supported = reasoner.supported_compound_classes()
+    support = reasoner.support
+    partners = support.compound_classes_in(support.formula_mask(negated))
     materialized = set(expansion.compound_attributes.get(ref.name, ()))
-    for members in supported:
-        if class_name not in members:
-            continue
-        for partner in supported:
-            if not negated.satisfied_by(partner):
-                continue
+    for members in support.compound_classes_in(
+            support.class_mask(class_name)):
+        for partner in partners:
             if ref.inverse:
                 candidate = CompoundAttribute(ref.name, partner, members)
             else:
@@ -305,11 +304,11 @@ def implied_participation_bounds(reasoner: Reasoner, class_name: str,
         raise ReasoningError(
             f"relation {relation} has no role {role!r}")
     expansion = reasoner.expansion
+    support = reasoner.support
     possible = list(_possible_compound_relations(reasoner, relation))
     hull: Optional[Card] = None
-    for members in reasoner.supported_compound_classes():
-        if class_name not in members:
-            continue
+    for members in support.compound_classes_in(
+            support.class_mask(class_name)):
         card = expansion.nrel.get((members, relation, role),
                                   Card(0, INFINITY))
         if not any(candidate[role] == members for candidate in possible):
@@ -399,28 +398,26 @@ class Classification:
 def classify(reasoner: Reasoner) -> Classification:
     """Compute all implied subsumptions between class symbols.
 
-    Complexity: one pass over supported compound classes per class pair —
-    the expensive support computation is shared across all queries.
+    Complexity: one mask test per class pair — ``sub ⊑ sup`` iff every
+    supported compound class containing ``sub`` contains ``sup`` — over
+    the support's verdict index, shared across all queries.
     """
     names = sorted(reasoner.schema.class_symbols)
-    supported = reasoner.supported_compound_classes()
-    containing = {name: [m for m in supported if name in m] for name in names}
-    unsatisfiable = tuple(name for name in names if not containing[name])
+    masks = {name: reasoner.support.class_mask(name) for name in names}
+    unsatisfiable = tuple(name for name in names if not masks[name])
 
     subsumptions: set[tuple[str, str]] = set()
     for sub in names:
-        if not containing[sub]:
+        if not masks[sub]:
             continue  # unsatisfiable classes subsume vacuously; skip noise
         for sup in names:
-            if sub == sup:
-                continue
-            if all(sup in members for members in containing[sub]):
+            if sub != sup and not masks[sub] & ~masks[sup]:
                 subsumptions.add((sub, sup))
 
     groups: list[tuple[str, ...]] = []
     seen: set[str] = set()
     for name in names:
-        if name in seen or not containing[name]:
+        if name in seen or not masks[name]:
             continue
         group = [name] + [other for other in names
                           if other != name

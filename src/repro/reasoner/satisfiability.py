@@ -157,7 +157,7 @@ class Reasoner:
         ``expansion``, ``system``, ``support``, ``augmented_query``, …)."""
         return self._pipeline.timer.readings()
 
-    def supported_compound_classes(self) -> list[frozenset]:
+    def supported_compound_classes(self) -> tuple[frozenset, ...]:
         """Compound classes that are nonempty in some model (all of them
         simultaneously, by closure of acceptable solutions under addition)."""
         return self.support.supported_compound_classes()
@@ -171,14 +171,17 @@ class Reasoner:
         if class_name not in self.schema.class_symbols:
             raise ReasoningError(
                 f"class {class_name!r} does not occur in the schema")
-        return any(class_name in members
-                   for members in self.supported_compound_classes())
+        return self.support.class_mask(class_name) != 0
 
     def is_formula_satisfiable(self, formula: FormulaLike) -> bool:
         """Is there a model with an object satisfying ``formula``?
 
         Only class symbols of the schema may occur in the formula; this is
-        the generalization that logical implication reduces to.
+        the generalization that logical implication reduces to.  The
+        supported compound classes answer through the support's verdict
+        index (:meth:`SupportResult.realizes
+        <repro.linear.support.SupportResult.realizes>`), a few big-int
+        mask operations per clause.
 
         Completeness across clusters: the strategic expansion only holds
         compound classes within one cluster of ``G_S`` — sound for class
@@ -196,8 +199,7 @@ class Reasoner:
         if unknown:
             raise ReasoningError(
                 f"formula mentions classes outside the schema: {sorted(unknown)}")
-        if any(formula.satisfied_by(members)
-               for members in self.supported_compound_classes()):
+        if self.support.realizes(formula):
             return True
         if self.enumeration_complete_for(formula.classes()):
             return False

@@ -19,12 +19,16 @@ lists as applications of schema reasoning:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Hashable, Iterator, Optional
+from typing import TYPE_CHECKING, Hashable, Iterator, Optional
 
 from ..core.errors import SemanticsError
+from ..core.formulas import Lit, conjunction
 from ..core.schema import Schema
 from .checker import Violation, check_model
 from .interpretation import Interpretation, LabeledTuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..linear.support import SupportResult
 
 __all__ = ["Database", "IntegrityError"]
 
@@ -51,7 +55,7 @@ class Database:
         self._attributes: dict[str, set[tuple[Obj, Obj]]] = {}
         self._relations: dict[str, set[LabeledTuple]] = {}
         self._in_transaction = False
-        self._supported_compounds: Optional[list[frozenset]] = None
+        self._support: Optional["SupportResult"] = None
 
     # ------------------------------------------------------------------
     # Mutations
@@ -166,13 +170,16 @@ class Database:
     # ------------------------------------------------------------------
     # Type inference (applications named in Section 2.3)
     # ------------------------------------------------------------------
-    def _compounds(self) -> list[frozenset]:
-        if self._supported_compounds is None:
+    def _candidates(self, current: frozenset[str]
+                    ) -> tuple["SupportResult", int]:
+        """The schema's support and the mask of its supported compound
+        classes extending ``current``."""
+        if self._support is None:
             from ..reasoner.satisfiability import Reasoner
 
-            reasoner = Reasoner(self._schema)
-            self._supported_compounds = reasoner.supported_compound_classes()
-        return self._supported_compounds
+            self._support = Reasoner(self._schema).support
+        return self._support, self._support.formula_mask(
+            conjunction(Lit(name) for name in current))
 
     def classes_of(self, obj: Obj) -> frozenset[str]:
         return frozenset(name for name, ext in self._classes.items()
@@ -185,21 +192,19 @@ class Database:
         memberships; empty when the current combination is unsatisfiable.
         """
         current = self.classes_of(obj)
-        candidates = [members for members in self._compounds()
-                      if current <= members]
+        support, candidates = self._candidates(current)
         if not candidates:
             return frozenset()
-        implied = frozenset.intersection(*map(frozenset, candidates))
-        return frozenset(implied) - current
+        return frozenset(name for name in self._schema.class_symbols
+                         if support.class_mask(name) & candidates
+                         == candidates) - current
 
     def admissible_classes(self, obj: Obj) -> frozenset[str]:
         """Classes the object could still join without refuting its type."""
         current = self.classes_of(obj)
-        admissible: set[str] = set()
-        for members in self._compounds():
-            if current <= members:
-                admissible.update(members)
-        return frozenset(admissible) - current
+        support, candidates = self._candidates(current)
+        return frozenset(name for name in self._schema.class_symbols
+                         if support.class_mask(name) & candidates) - current
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
