@@ -670,7 +670,7 @@ def query_answering() -> None:
 def registry_revalidation() -> None:
     from repro.core.formulas import Clause, Formula, Lit
     from repro.core.schema import ClassDef, Schema
-    from repro.engine import Pipeline, SchemaDelta
+    from repro.engine import Pipeline
     from repro.parser.printer import render_schema
     from repro.reasoner.satisfiability import Reasoner as _Reasoner
     from repro.registry import SchemaRegistry
@@ -710,12 +710,11 @@ def registry_revalidation() -> None:
         old = clustered_schema(n_clusters, cluster_size, seed=seed)
         pipeline = Pipeline(old, config)
         _ = pipeline.support  # warm build, also the artifact source
-        artifact = pipeline.compile()
+        prev = Pipeline.from_artifact(pipeline.compile(), config)
         new = single_cluster_edit(old)
-        delta = SchemaDelta.between(old, new)
 
         def run_delta():
-            revalidated = Pipeline.recompile_from(artifact, delta, config)
+            revalidated = prev.revise(new)
             _ = revalidated.support
             return revalidated
 

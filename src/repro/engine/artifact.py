@@ -71,8 +71,11 @@ __all__ = [
 #: rebuilds from source.  v2 added the optional :class:`SupportSnapshot`
 #: (support verdicts keyed by unknown, consumed by delta revalidation);
 #: v3 added the optional query-rewriting
-#: :class:`~repro.qa.closure.ClosureIndex`.
-ARTIFACT_SCHEMA_VERSION = 3
+#: :class:`~repro.qa.closure.ClosureIndex`; v4 marks the Theorem 4.6
+#: cluster partition with the attribute-end arcs of ``G_S`` (stored
+#: clusters, expansions and systems of earlier versions may miss compound
+#: classes, so they must not rehydrate).
+ARTIFACT_SCHEMA_VERSION = 4
 
 #: Environment variable overriding the default artifact directory
 #: (useful for tests and hermetic CI runs).

@@ -43,9 +43,6 @@ class EngineConfig:
         Registered LP backend answering the max-support rounds, by name
         (``"auto"``, ``"exact-sparse"``, ``"float-fallback"`` — see
         :mod:`repro.linear.backends`).
-    incremental_augmented:
-        Reuse the compound classes of clusters untouched by a query class
-        when answering augmented (cross-cluster) queries.
     use_propagation / merge_columns:
         The two support-computation optimizations; disabled only by the
         ablation benchmarks, never changing verdicts.
@@ -74,7 +71,6 @@ class EngineConfig:
     strategy: str = "auto"
     size_limit: Optional[int] = None
     lp_backend: str = "auto"
-    incremental_augmented: bool = True
     use_propagation: bool = True
     merge_columns: bool = True
     augmented_cache_limit: int = 256

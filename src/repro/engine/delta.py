@@ -1,20 +1,22 @@
 """Schema deltas and diff-aware incremental revalidation.
 
 The paper's cluster decomposition (Theorem 4.6) promises that an edit
-confined to one cluster of ``G_S`` need not pay for the others; the
-incremental augmented-query path (`Pipeline.seed_augmented`) already
-cashes that promise for the special case "one fresh query class".  This
-module generalizes it to arbitrary edits between two schema *versions*:
+confined to one cluster of ``G_S`` need not pay for the others.  This
+module cashes that promise for arbitrary edits between two schema
+*versions*; :meth:`Pipeline.revise <repro.engine.pipeline.Pipeline.revise>`
+is its one entry point, serving schema updates and cross-cluster query
+classes ("this schema plus one fresh class") alike:
 
 * :class:`SchemaDelta` — the structural diff of two schemas: added,
   removed, and changed class and relation definitions, plus the derived
   **dirty class set** (every class whose preselection rows, enumeration,
   or cardinality entries could have changed);
-* :func:`seed_delta` — plans the reuse for a new pipeline: clusters of
-  the new schema that exist verbatim in the previous version's partition
-  and contain no dirty class keep their enumerated compound classes;
-  only touched clusters re-run DPLL (``registry.reuse`` /
-  ``registry.rebuilt`` tracer counters, one tick per cluster);
+* :func:`seed_delta` — plans the reuse for a new pipeline from the live
+  previous one: clusters of the new schema that exist verbatim in the
+  previous version's partition and contain no dirty class keep their
+  enumerated compound classes; only touched clusters re-run DPLL
+  (``registry.reuse`` / ``registry.rebuilt`` tracer counters, one tick
+  per cluster);
 * :func:`merge_support` — grafts support verdicts of untouched ``Ψ_S``
   blocks from the previous version: the system is block-diagonal across
   connected components (constraint rows and acceptability edges never
@@ -52,7 +54,6 @@ from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..expansion.expansion import Expansion
-    from .artifact import CompiledSchema, SupportSnapshot
     from .pipeline import Pipeline
 
 __all__ = [
@@ -205,7 +206,7 @@ class RevalidationReport:
 
 
 # ----------------------------------------------------------------------
-# Seeding a pipeline from (previous artifact, delta)
+# Seeding a pipeline from (previous pipeline, delta)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DeltaExpansionSeed:
@@ -223,26 +224,26 @@ class DeltaExpansionSeed:
 @dataclass(frozen=True)
 class DeltaSupportSeed:
     """What the support stage needs to graft old verdicts: the previous
-    system, its stored verdicts, and the compound classes whose clusters
-    were reused (the untouched test for block reuse)."""
+    version's solved support (its system rides along) and the compound
+    classes whose clusters were reused (the untouched test for block
+    reuse)."""
 
-    prev_system: PsiSystem
-    snapshot: "SupportSnapshot"
+    prev: SupportResult
     reused_classes: frozenset
 
 
-def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
+def seed_delta(pipeline: "Pipeline", prev: "Pipeline",
                delta: SchemaDelta) -> bool:
     """Seed ``pipeline`` (for ``delta.new``) with everything reusable from
-    ``prev`` (the compiled previous version).  Returns False when the
+    ``prev`` (the live pipeline of ``delta.old``).  Returns False when the
     diff-aware path does not apply — the caller then builds cold:
 
     * a ``naive`` strategy enumerates globally, so there is no per-cluster
       reuse unit;
     * a schema the §4.4 closed form covers is answered faster by the
       closed form than by any reuse;
-    * a previous artifact without a cluster partition has nothing to match
-      against.
+    * a previous pipeline that has not built its expansion has nothing to
+      reuse (building it first would cost more than the cold build).
     """
     from ..expansion.enumerate import dpll_compound_classes
     from ..expansion.graph import clusters as compute_clusters
@@ -250,7 +251,8 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     from ..expansion.tables import build_tables
 
     config = pipeline.config
-    if config.strategy not in ("auto", "strategic") or prev.clusters is None:
+    if (config.strategy not in ("auto", "strategic")
+            or "expansion" not in prev._artifacts):
         return False
     tracer = pipeline.tracer
     with tracer.span("pipeline.delta_seed"), \
@@ -264,11 +266,10 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
         new_clusters = compute_clusters(new_schema, tables)
         dirty = delta.dirty_classes()
 
+        prev_clusters = prev.clusters()
         old_index = {component: index
-                     for index, component in enumerate(prev.clusters)}
-        old_cluster_of = {name: index
-                          for index, component in enumerate(prev.clusters)
-                          for name in component}
+                     for index, component in enumerate(prev_clusters)}
+        old_cluster_of = prev.cluster_of()
         grouped: dict[int, list[frozenset]] = {}
         for members in prev.expansion.compound_classes:
             if members:
@@ -300,10 +301,10 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     pipeline._expansion_delta = DeltaExpansionSeed(
         classes=tuple(combined), reused=frozenset(reused),
         old=prev.expansion, touched_relations=delta.touched_relations())
-    if prev.support is not None:
+    prev_support = prev._artifacts.get("support")
+    if prev_support is not None:
         pipeline._support_seed = DeltaSupportSeed(
-            prev_system=prev.system, snapshot=prev.support,
-            reused_classes=frozenset(reused))
+            prev=prev_support, reused_classes=frozenset(reused))
     pipeline.delta_stats.update({
         "mode": "delta",
         "clusters_total": len(new_clusters),
@@ -318,94 +319,55 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
 # ----------------------------------------------------------------------
 # Support-block reuse
 # ----------------------------------------------------------------------
-def _components(system: PsiSystem) -> list[list[int]]:
-    """Connected components of ``Ψ_S``: unknowns coupled by a constraint
-    row or by an acceptability (endpoint) edge.  The system is
-    block-diagonal across these — the structural fact block reuse rests
-    on."""
-    n = system.n_unknowns()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for constraint in system.constraints:
-        coefficients = constraint.coefficients
-        if coefficients:
-            first = coefficients[0][0]
-            for index, _ in coefficients[1:]:
-                union(first, index)
-    for index in range(n):
-        for endpoint in system.endpoints_of(index):
-            union(index, endpoint)
-
-    groups: dict[int, list[int]] = {}
-    for index in range(n):
-        groups.setdefault(find(index), []).append(index)
-    return list(groups.values())
-
-
 def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
                   backend, use_propagation: bool, merge_columns: bool,
                   tracer: "Tracer | NullTracer" = NULL_TRACER,
                   stats: Optional[dict] = None) -> SupportResult:
     """The support of ``system``, reusing verdicts of untouched blocks.
 
-    A connected component of the new system is **reusable** when every
-    compound-class unknown in it belongs to a reused cluster, every
-    unknown existed in the previous system, and the component's unknown
-    set matches its previous component exactly — then its constraint rows
-    are provably identical (cardinality entries and summand sets are
-    functions of unchanged definitions), so the old verdicts, witness
-    values, and pin log carry over.  All remaining components are solved
-    together through :func:`~repro.linear.support.acceptable_support`
-    restricted to their indices.
+    A block (:attr:`PsiSystem.blocks
+    <repro.linear.system.PsiSystem.blocks>`) of the new system is
+    **reusable** when every compound-class unknown in it belongs to a
+    reused cluster, every unknown existed in the previous system, and the
+    block's unknown set matches its previous block exactly — then its
+    constraint rows are provably identical (cardinality entries and
+    summand sets are functions of unchanged definitions), so the old
+    verdicts, witness values, and pin log carry over.  All remaining
+    blocks are solved together through
+    :func:`~repro.linear.support.acceptable_support` restricted to their
+    indices.
     """
-    snapshot = seed.snapshot
+    prev = seed.prev
+    prev_system = prev.system
+    prev_blocks = prev_system.blocks
+    prev_block_of = prev_system.block_of
     reused_classes = seed.reused_classes
-    prev_index = {unknown: i
-                  for i, unknown in enumerate(seed.prev_system.unknowns)}
-    old_comp_of: dict[object, int] = {}
-    old_comp_sets: list[frozenset] = []
-    prev_unknowns = seed.prev_system.unknowns
-    for cid, component in enumerate(_components(seed.prev_system)):
-        members = frozenset(prev_unknowns[i] for i in component)
-        old_comp_sets.append(members)
-        for i in component:
-            old_comp_of[prev_unknowns[i]] = cid
 
     unknowns = system.unknowns
     active: list[int] = []
-    reused_indices: list[int] = []
+    grafts: list[tuple[int, int]] = []  # (new index, previous index)
     blocks_reused = blocks_solved = 0
-    for component in _components(system):
-        reusable = True
-        for i in component:
+    for block in system.blocks:
+        old_indices = []
+        for i in block:
             unknown = unknowns[i]
-            if unknown not in prev_index:
-                reusable = False
+            old = prev_system.find(unknown)
+            if old is None or (isinstance(unknown, frozenset)
+                               and unknown not in reused_classes):
                 break
-            if isinstance(unknown, frozenset) and unknown not in reused_classes:
-                reusable = False
-                break
-        if reusable:
-            members = frozenset(unknowns[i] for i in component)
-            old_cid = old_comp_of[unknowns[component[0]]]
-            reusable = old_comp_sets[old_cid] == members
-        if reusable:
-            blocks_reused += 1
-            reused_indices.extend(component)
+            old_indices.append(old)
         else:
-            blocks_solved += 1
-            active.extend(component)
+            # The unknown map is injective, so one previous block of the
+            # same size holding every old index is the same unknown set.
+            home = prev_block_of[old_indices[0]]
+            if (len(prev_blocks[home]) == len(block)
+                    and all(prev_block_of[old] == home
+                            for old in old_indices)):
+                blocks_reused += 1
+                grafts.extend(zip(block, old_indices))
+                continue
+        blocks_solved += 1
+        active.extend(block)
 
     if active:
         partial = acceptable_support(
@@ -420,20 +382,21 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
     else:
         support, values, pin_log = set(), {}, []
         rounds = 0
-        backend_used = snapshot.backend_used
+        backend_used = prev.backend_used
 
-    old_values = dict(snapshot.values)
-    pins_by_unknown: dict[object, list] = {}
-    for unknown, phase, reason, round_number in snapshot.pins:
-        pins_by_unknown.setdefault(unknown, []).append(
-            (phase, reason, round_number))
-    for i in reused_indices:
-        unknown = unknowns[i]
-        if unknown in snapshot.supported:
-            support.add(i)
-        values[i] = old_values.get(unknown, Fraction(0))
-        for phase, reason, round_number in pins_by_unknown.get(unknown, ()):
-            pin_log.append(PinEvent(i, phase, reason, round_number))
+    if grafts:
+        pins_by_index: dict[int, list[PinEvent]] = {}
+        for event in prev.pin_log:
+            pins_by_index.setdefault(event.index, []).append(event)
+        old_support = prev.support
+        old_values = prev.solution
+        for i, old in grafts:
+            if old in old_support:
+                support.add(i)
+            values[i] = old_values.get(old, Fraction(0))
+            for event in pins_by_index.get(old, ()):
+                pin_log.append(PinEvent(i, event.phase, event.reason,
+                                        event.round))
 
     tracer.add("registry.support_blocks_reused", blocks_reused)
     tracer.add("registry.support_blocks_solved", blocks_solved)

@@ -22,10 +22,10 @@ artifacts are never invalidated; build a new pipeline for a new schema or
 config (sessions handle the caching of whole pipelines).
 
 Schema-level derived structures that several consumers share — the clusters
-of ``G_S``, the per-cluster compound-class grouping, the effective-hierarchy
-test — live here too, as do the *seeding* hooks of the incremental
-augmented-query optimization (a seeded pipeline starts with prebuilt tables
-and precomputed compound classes instead of cold stages).
+of ``G_S`` and the effective-hierarchy test — live here too, as does the one
+incremental rebuild path, :meth:`Pipeline.revise`: a pipeline for an edited
+schema (or this schema plus a query class) seeded from this one's tables,
+expansion, clusters and support instead of built cold.
 """
 
 from __future__ import annotations
@@ -93,10 +93,7 @@ class PipelineStage:
 
 
 def _expansion_needs_tables(pipeline: "Pipeline") -> Optional[str]:
-    if (pipeline.config.strategy != "naive"
-            and pipeline._precomputed_classes is None):
-        return "tables"
-    return None
+    return "tables" if pipeline.config.strategy != "naive" else None
 
 
 class Pipeline:
@@ -126,11 +123,11 @@ class Pipeline:
         # eagerly forcing any stage themselves (an eager build would
         # escape the caller's per-query budget scope).
         self.on_system_built: Optional[Callable[["Pipeline"], None]] = None
-        # Seeds of the incremental augmented-query path (see seed_augmented).
-        self._precomputed_classes: Optional[tuple] = None
-        # Seeds of the diff-aware revalidation path (see recompile_from):
-        # a partial-expansion plan, an optional support-block graft, and
-        # the reuse accounting surfaced in RevalidationReports.
+        # Seeds of the incremental rebuild path (see revise): the schema
+        # delta this pipeline was revised through, a partial-expansion
+        # plan, an optional support-block graft, and the reuse accounting
+        # surfaced in RevalidationReports.
+        self.delta = None
         self._expansion_delta = None
         self._support_seed = None
         self.delta_stats: dict = {}
@@ -139,7 +136,6 @@ class Pipeline:
         # Schema-level derived structures, shared by several consumers.
         self._clusters: Optional[list[frozenset]] = None
         self._cluster_map: Optional[dict] = None
-        self._cluster_compound_map: Optional[dict] = None
         self._hierarchy_effective: Optional[bool] = None
 
     def built_stages(self) -> tuple[str, ...]:
@@ -243,59 +239,45 @@ class Pipeline:
         pipeline._closure_index = artifact.closure
         return pipeline
 
-    @classmethod
-    def recompile_from(cls, prev: "CompiledSchema", delta,
-                       config: Optional[EngineConfig] = None, *,
-                       timer: Optional[StageTimer] = None,
-                       tracer: Optional[Union[Tracer, NullTracer]] = None
-                       ) -> "Pipeline":
-        """A pipeline for ``delta.new`` that reuses everything ``prev``
-        (the compiled previous version) can still vouch for.
+    def revise(self, new_schema: Schema) -> "Pipeline":
+        """A pipeline for ``new_schema`` that reuses everything this one
+        can still vouch for — the one incremental rebuild path.
 
-        The diff-aware generalization of :meth:`seed_augmented`: clusters
-        of the new schema that match the previous partition verbatim and
-        contain no dirty class keep their enumerated compound classes,
-        their expansion rows, and (when ``prev`` stored verdicts) their
-        ``Ψ_S`` block supports; only touched clusters pay.  Falls back to
-        a cold pipeline — same verdicts, no reuse — when the delta path
-        does not apply (naive strategy, §4.4 hierarchies, cluster-less
-        artifacts).  ``config`` defaults to the snapshot's own and must
-        match its enumeration-shaping fingerprint, like
-        :meth:`from_artifact`.
+        Serves both schema edits (:meth:`SchemaSession.update
+        <repro.engine.session.SchemaSession.update>`) and cross-cluster
+        query classes (``Reasoner.augmented_with``: this schema plus one
+        fresh class).  A :class:`~repro.engine.delta.SchemaDelta` is taken
+        against this pipeline's schema; clusters of the new schema that
+        match the current partition verbatim and contain no dirty class
+        keep their enumerated compound classes, their expansion rows, and
+        (when this pipeline has solved its support) their ``Ψ_S`` block
+        supports; only touched clusters pay
+        (:func:`~repro.engine.delta.seed_delta`).  Falls back to a cold
+        pipeline — same verdicts, no reuse — when the delta path does not
+        apply: a naive strategy, a §4.4 hierarchy, or an expansion this
+        pipeline has not built yet.
 
-        An empty delta short-circuits to :meth:`from_artifact` (full
-        reuse).  Reuse accounting lands in ``pipeline.delta_stats`` and
-        the ``registry.reuse`` / ``registry.rebuilt`` tracer counters.
+        The new pipeline shares this one's config and tracer and keeps the
+        delta as ``pipeline.delta``.  An empty delta shares every built
+        artifact (mode ``"unchanged"``).  Reuse accounting lands in
+        ``delta_stats`` and the ``registry.reuse`` / ``registry.rebuilt``
+        tracer counters.
         """
-        from ..core.errors import ReasoningError
-        from .artifact import (ARTIFACT_SCHEMA_VERSION, CompiledSchema,
-                               config_fingerprint)
-        from .delta import seed_delta
+        from .delta import SchemaDelta, seed_delta
 
-        if not isinstance(prev, CompiledSchema):
-            raise ReasoningError(
-                f"expected a CompiledSchema, got {type(prev).__name__}")
-        if prev.schema_version != ARTIFACT_SCHEMA_VERSION:
-            raise ReasoningError(
-                f"artifact schema version {prev.schema_version} does "
-                f"not match this engine's {ARTIFACT_SCHEMA_VERSION}")
-        config = config if config is not None else prev.config
-        if config_fingerprint(config) != prev.config_fingerprint:
-            raise ReasoningError(
-                "previous artifact was compiled under an incompatible "
-                "engine config (strategy/size_limit mismatch)")
-        from .session import schema_fingerprint
-        if prev.fingerprint != schema_fingerprint(delta.old):
-            raise ReasoningError(
-                "delta.old does not match the schema the previous "
-                "artifact was compiled from")
+        delta = SchemaDelta.between(self.schema, new_schema)
         if delta.is_empty():
-            pipeline = cls.from_artifact(prev, config, timer=timer,
-                                         tracer=tracer)
+            pipeline = Pipeline(self.schema, self.config, tracer=self.tracer)
+            pipeline._artifacts.update(self._artifacts)
+            pipeline._clusters = self._clusters
+            pipeline._hierarchy_effective = self._hierarchy_effective
+            pipeline._closure_index = self._closure_index
+            pipeline.delta = delta
             pipeline.delta_stats["mode"] = "unchanged"
             return pipeline
-        pipeline = cls(delta.new, config, timer=timer, tracer=tracer)
-        if not seed_delta(pipeline, prev, delta):
+        pipeline = Pipeline(new_schema, self.config, tracer=self.tracer)
+        pipeline.delta = delta
+        if not seed_delta(pipeline, self, delta):
             pipeline.delta_stats["mode"] = "fresh"
         return pipeline
 
@@ -314,18 +296,20 @@ class Pipeline:
         and the merged ``Natt``/``Nrel`` entries."""
         seed = self._expansion_delta
         if seed is not None:
-            return build_expansion_delta(
+            expansion = build_expansion_delta(
                 self.schema, seed.classes, seed.reused, seed.old,
                 strategy=self.config.strategy,
                 touched_relations=seed.touched_relations,
                 size_limit=self.config.size_limit, tracer=self.tracer)
+            # Built: stop holding the previous version's expansion alive.
+            self._expansion_delta = None
+            return expansion
         tables = None
         if _expansion_needs_tables(self) is not None:
             tables = self.tables  # prebuilt by the prerequisite hook
         return build_expansion(
             self.schema, self.config.strategy,
             size_limit=self.config.size_limit, tables=tables,
-            precomputed_classes=self._precomputed_classes,
             tracer=self.tracer)
 
     @PipelineStage("expansion")
@@ -341,12 +325,14 @@ class Pipeline:
         if self._support_seed is not None:
             from .delta import merge_support
 
-            return merge_support(
+            support = merge_support(
                 self.system, self._support_seed,
                 backend=self.config.lp_backend,
                 use_propagation=self.config.use_propagation,
                 merge_columns=self.config.merge_columns,
                 tracer=self.tracer, stats=self.delta_stats)
+            self._support_seed = None  # as for the expansion seed
+            return support
         return acceptable_support(
             self.system, backend=self.config.lp_backend,
             use_propagation=self.config.use_propagation,
@@ -402,69 +388,6 @@ class Pipeline:
                     mapping[name] = index
             self._cluster_map = mapping
         return self._cluster_map
-
-    def compounds_by_cluster(self) -> dict:
-        """Nonempty compound classes of the expansion grouped by the cluster
-        containing them — the reuse units of incremental augmented queries.
-        Only meaningful when the enumeration was cluster-confined
-        (strategic)."""
-        if self._cluster_compound_map is None:
-            mapping = self.cluster_of()
-            grouped: dict = {}
-            for members in self.expansion.compound_classes:
-                if not members:
-                    continue
-                grouped.setdefault(mapping[next(iter(members))],
-                                   []).append(members)
-            self._cluster_compound_map = grouped
-        return self._cluster_compound_map
-
-    # ------------------------------------------------------------------
-    # Incremental augmented-query seeding
-    # ------------------------------------------------------------------
-    def can_seed_augmented(self, cdef) -> bool:
-        """Is the incremental path applicable?  Requires a fresh query class
-        and a cluster-confined (strategic) base enumeration that has already
-        been built — otherwise a cold build is both needed and cheapest."""
-        return (self.config.incremental_augmented
-                and "expansion" in self._artifacts
-                and self.config.strategy in ("auto", "strategic")
-                and not self.is_hierarchy()
-                and cdef.name not in self.schema.class_symbols)
-
-    def seed_augmented(self, target: "Pipeline", cdef) -> None:
-        """Seed ``target`` (the pipeline of this schema plus ``cdef``)
-        incrementally: preselection tables are extended by one row instead
-        of rebuilt, and compound classes of every cluster the query class
-        does not touch are reused verbatim — only the merged cluster is
-        re-enumerated.  The seeding is an optimization only; verdicts are
-        identical to a cold rebuild (the equivalence suite asserts this)."""
-        from ..expansion.enumerate import dpll_compound_classes
-        from ..expansion.graph import clusters as compute_clusters
-
-        with self.tracer.span("pipeline.augmented_seed"), \
-                self.timer.stage("augmented_seed"):
-            aug_tables = self.tables.extended_with(target.schema, cdef.name)
-            aug_clusters = compute_clusters(target.schema, aug_tables)
-            base_index = {component: index
-                          for index, component in enumerate(self.clusters())}
-            grouped = self.compounds_by_cluster()
-            combined: list[frozenset] = [frozenset()]
-            for component in aug_clusters:
-                base_at = base_index.get(component)
-                if base_at is not None:
-                    # Untouched cluster: same universe, same definitions,
-                    # same table rows — the enumeration result is reusable.
-                    combined.extend(grouped.get(base_at, ()))
-                else:
-                    combined.extend(
-                        members for members in dpll_compound_classes(
-                            target.schema, sorted(component), aug_tables)
-                        if members)
-        target._artifacts["tables"] = aug_tables
-        target._clusters = aug_clusters
-        target._hierarchy_effective = False
-        target._precomputed_classes = tuple(combined)
 
     # ------------------------------------------------------------------
     # Introspection

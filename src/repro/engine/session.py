@@ -15,9 +15,10 @@ that exploits this:
   fleet of schemas cannot exhaust memory;
 * batched entry points (:meth:`SchemaSession.check_many`,
   :meth:`SchemaSession.classify`) reuse **one** support computation — and,
-  through the reasoner's incremental augmented-query seeding, repeated
-  formula queries against the same schema reuse warm tables and untouched
-  clusters instead of rebuilding;
+  through :meth:`Pipeline.revise <repro.engine.pipeline.Pipeline.revise>`,
+  cross-cluster formula queries against the same schema reuse untouched
+  clusters' compound classes and solved ``Ψ_S`` blocks instead of
+  rebuilding;
 * with ``config.artifact_dir`` set, LRU misses consult the
   fingerprint-keyed **disk artifact cache**
   (:class:`~repro.engine.artifact.ArtifactCache`) before building: a hit
@@ -246,12 +247,12 @@ class SchemaSession:
         directly its fingerprint (a 64-char hex string that parses as
         neither is treated as a fingerprint only when it *is* one the
         session has seen); ``None`` means "no predecessor", a cold build.
-        The previous :class:`~repro.engine.artifact.CompiledSchema` is
-        recovered from the warm LRU (:meth:`peek_compiled`) or the disk
-        artifact cache, a :class:`~repro.engine.delta.SchemaDelta` is
-        computed, and :meth:`Pipeline.recompile_from
-        <repro.engine.pipeline.Pipeline.recompile_from>` rebuilds only the
-        dirty clusters.  The new reasoner lands in the LRU under the new
+        The previous version's pipeline is taken live from the warm LRU
+        (when its expansion is built) or rehydrated from the disk artifact
+        cache, and :meth:`Pipeline.revise
+        <repro.engine.pipeline.Pipeline.revise>` rebuilds only the clusters
+        the :class:`~repro.engine.delta.SchemaDelta` dirties.  The new
+        reasoner lands in the LRU under the new
         fingerprint (its support solved eagerly — an update *is* a
         revalidation), its artifact is persisted verdicts and all, and the
         returned :class:`~repro.engine.delta.RevalidationReport` itemizes
@@ -260,28 +261,31 @@ class SchemaSession:
         import time as _time
 
         from ..reasoner.satisfiability import Reasoner
-        from .delta import RevalidationReport, SchemaDelta
+        from .delta import RevalidationReport
         from .pipeline import Pipeline
 
         started = _time.perf_counter()
         new_schema = _as_schema(new)
         new_fp = schema_fingerprint(new_schema)
         prev = old_fp = None
-        old_schema: Optional[Schema] = None
         if old is not None:
             if (isinstance(old, str) and len(old) == 64
                     and all(ch in "0123456789abcdef" for ch in old)):
                 old_fp = old
             else:
-                old_schema = _as_schema(old)
-                old_fp = schema_fingerprint(old_schema)
-            prev = self.peek_compiled(old_fp)
-            if prev is None and self._artifact_cache is not None:
-                prev = self._artifact_cache.load(old_fp, self.config)
-            if prev is not None and old_schema is None:
-                old_schema = prev.schema
+                old_fp = schema_fingerprint(_as_schema(old))
+            with self._lock:
+                cached = self._cache.get(old_fp)
+            if (cached is not None
+                    and "expansion" in cached.pipeline.built_stages()):
+                prev = cached.pipeline
+            elif self._artifact_cache is not None:
+                artifact = self._artifact_cache.load(old_fp, self.config)
+                if artifact is not None:
+                    prev = Pipeline.from_artifact(artifact, self.config,
+                                                  tracer=self._tracer)
 
-        if prev is None or old_schema is None:
+        if prev is None:
             # Cold path: nothing to diff against.  reasoner() handles the
             # LRU bookkeeping; forcing support makes the update a complete
             # revalidation rather than a lazy promise.
@@ -292,9 +296,7 @@ class SchemaSession:
                 mode="fresh", fingerprint_old=old_fp, fingerprint_new=new_fp,
                 duration_s=_time.perf_counter() - started)
 
-        delta = SchemaDelta.between(old_schema, new_schema)
-        pipeline = Pipeline.recompile_from(prev, delta, self.config,
-                                           tracer=self._tracer)
+        pipeline = prev.revise(new_schema)
         _ = pipeline.support
         reasoner = Reasoner.from_pipeline(pipeline)
         with self._lock:
@@ -320,7 +322,7 @@ class SchemaSession:
             support_blocks_reused=stats.get("support_blocks_reused", 0),
             support_blocks_solved=stats.get("support_blocks_solved", 0),
             duration_s=_time.perf_counter() - started,
-            delta=delta.summary())
+            delta=pipeline.delta.summary())
 
     def invalidate(
             self,
@@ -391,8 +393,8 @@ class SchemaSession:
     def check_many(self, schema: SchemaLike,
                    formulas: Iterable[FormulaLike]) -> list[bool]:
         """Formula satisfiability for a batch, reusing one support
-        computation (and the reasoner's augmented-query seeding and verdict
-        memoization for the cross-cluster cases).
+        computation (and the reasoner's incremental augmented queries and
+        verdict memoization for the cross-cluster cases).
 
         A thin shim over :meth:`check_many_detailed`: each outcome's
         verdict is taken via :meth:`QueryOutcome.require()

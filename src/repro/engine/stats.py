@@ -41,8 +41,9 @@ class PipelineStats(_JsonText):
     The size fields mirror the paper's complexity parameters (schema size,
     expansion size, |Ψ_S|); ``timings`` maps stage names to accumulated
     wall-clock seconds (``tables``, ``expansion``, ``system``, ``support``,
-    plus ``augmented_seed`` / ``augmented_query`` once augmented queries
-    ran); ``lp_backend`` names the arithmetic core that produced the final
+    plus ``augmented_query`` once augmented queries ran, and ``delta_seed``
+    in place of ``tables`` on a pipeline built by ``Pipeline.revise``);
+    ``lp_backend`` names the arithmetic core that produced the final
     support witness.
     """
 

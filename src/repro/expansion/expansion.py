@@ -200,7 +200,6 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
                     include_unconstrained: bool = False,
                     size_limit: Optional[int] = None,
                     tables=None,
-                    precomputed_classes: Optional[Sequence[frozenset]] = None,
                     tracer: Union[Tracer, NullTracer] = NULL_TRACER
                     ) -> Expansion:
     """Build the expansion of ``schema``.
@@ -221,10 +220,6 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
         Optional prebuilt :class:`~repro.expansion.tables.SchemaTables`,
         reused by the strategic enumeration instead of running the
         preselection pass again.
-    precomputed_classes:
-        Optional compound classes to use verbatim (skipping enumeration) —
-        the incremental augmented-query path of the reasoner supplies the
-        merged-cluster result here.
     tracer:
         Observability bus receiving the enumeration counters
         (``expansion.compound_classes``, the DPLL search counters) and the
@@ -241,13 +236,8 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     """
     tick = current_budget().tick
     budget = _SizeBudget(size_limit)
-    if precomputed_classes is not None:
-        classes = tuple(precomputed_classes)
-        tracer.add("expansion.precomputed_classes", len(classes))
-    else:
-        classes = tuple(enumerate_compound_classes(schema, strategy,
-                                                   tables=tables,
-                                                   tracer=tracer))
+    classes = tuple(enumerate_compound_classes(schema, strategy,
+                                               tables=tables, tracer=tracer))
     budget.charge(len(classes), "compound classes")
 
     natt: dict[tuple[frozenset, AttrRef], Card] = {}

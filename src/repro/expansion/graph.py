@@ -6,8 +6,9 @@ components of ``G_S`` are the paper's **clusters**; compound classes then
 only mix classes of a single cluster, which can shrink the expansion
 dramatically.
 
-Our arc set follows the paper's three criteria and errs on the side of
-*more* arcs (extra arcs only weaken the optimization, never correctness):
+Our arc set follows the paper's three criteria, adds a fourth for
+attribute ends shared across definitions, and errs on the side of *more*
+arcs (extra arcs only weaken the optimization, never correctness):
 
 1. ``C2`` appears positively in the isa-formula of ``C1`` — arc ``C1–C2``;
 2. classes appearing positively in the attribute part of the same class
@@ -16,7 +17,16 @@ Our arc set follows the paper's three criteria and errs on the side of
    inverse links);
 3. for each relation role, classes appearing positively in the role's
    formulae across all role-clauses are pairwise connected, and classes
-   *participating* in that role are connected to them as well.
+   *participating* in that role are connected to them as well;
+4. for each attribute ``a``, classes constraining the same end of ``a``
+   across *different* definitions are pairwise connected: at the source
+   end, every class defining ``a`` and every positive filler of
+   ``inv a``; at the target end, every class defining ``inv a`` and every
+   positive filler of ``a``.  (With ``A: (inv a) : (1,1) B``,
+   ``B: a : (0,1) C`` and ``C: isa not B``, an instance of ``A`` must be
+   an ``a``-filler of some ``B`` and hence a ``C``; without this arc the
+   clusters ``{A,B} | {C}`` never enumerate ``{A,C}`` and ``A`` reads
+   unsatisfiable.)
 
 Arcs between pairs the disjointness table already proves disjoint are
 removed (the paper's step 3).
@@ -33,7 +43,7 @@ from itertools import combinations
 from typing import Optional
 
 from ..core.formulas import Formula
-from ..core.schema import Schema
+from ..core.schema import AttrRef, Schema
 from .tables import SchemaTables
 
 __all__ = [
@@ -90,10 +100,23 @@ def schema_graph(schema: Schema,
     for group in role_groups.values():
         connect_all(group)
 
+    # Criterion 4: per attribute end, the classes constraining it — keyed
+    # by the reference whose domain is that end: definers of ``ref`` and
+    # positive fillers of its flipped reference.
+    end_groups: dict[AttrRef, set[str]] = {}
+    for cdef in schema.class_definitions:
+        for spec in cdef.attributes:
+            end_groups.setdefault(spec.ref, set()).add(cdef.name)
+            end_groups.setdefault(spec.ref.flipped(), set()).update(
+                _positive(spec.filler))
+    for group in end_groups.values():
+        connect_all(group)
+
     # Step 3 of the construction: drop arcs between provably disjoint pairs.
     if tables is not None:
         for name, neighbours in adjacency.items():
-            for other in [n for n in neighbours if tables.are_disjoint(name, n)]:
+            for other in [n for n in neighbours
+                          if n > name and tables.are_disjoint(name, n)]:
                 neighbours.discard(other)
                 adjacency[other].discard(name)
 

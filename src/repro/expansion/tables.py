@@ -20,7 +20,9 @@ polynomial, incomplete procedure with two strength levels:
   ``L2`` — iterated to a fixpoint (the Krom-fragment closure).
 
 The tables prune the compound-class enumeration: every entry removes the
-quarter of candidate compound classes violating it.
+quarter of candidate compound classes violating it.  Inclusions are stored
+per class (the closure); a disjointness entry is read off two closures when
+asked (:meth:`SchemaTables.are_disjoint`) rather than filled for every pair.
 """
 
 from __future__ import annotations
@@ -50,16 +52,20 @@ class SchemaTables:
         symbols = sorted(schema.class_symbols)
         self._symbols = symbols
 
-        # implied[C]: literals that hold for every instance of C.
-        implied: dict[str, set[Lit]] = {
-            name: {Lit(name)} for name in symbols}
+        # implied[C], literals that hold for every instance of C, kept as
+        # its positive part up[C] and negative part neg[C] (class names).
+        up: dict[str, set[str]] = {name: {name} for name in symbols}
+        neg: dict[str, set[str]] = {name: set() for name in symbols}
         # Short clauses per class: units seed directly, binaries resolve.
-        units: dict[str, list[Lit]] = {name: [] for name in symbols}
-        binaries: dict[str, list[tuple[Lit, Lit]]] = {name: [] for name in symbols}
+        unit_up: dict[str, set[str]] = {name: set() for name in symbols}
+        unit_neg: dict[str, set[str]] = {name: set() for name in symbols}
+        binaries: dict[str, list[tuple[Lit, Lit]]] = {
+            name: [] for name in symbols}
         for name in symbols:
             for clause in schema.definition(name).isa:
                 if len(clause) == 1:
-                    units[name].append(clause.literals[0])
+                    lit = clause.literals[0]
+                    (unit_up if lit.positive else unit_neg)[name].add(lit.name)
                 elif len(clause) == 2 and deduction == "binary":
                     first, second = clause.literals
                     binaries[name].append((first, second))
@@ -68,35 +74,25 @@ class SchemaTables:
         while changed:
             changed = False
             for name in symbols:
-                bag = implied[name]
-                before = len(bag)
-                for lit in list(bag):
-                    if not lit.positive:
-                        continue
+                pos, negs = up[name], neg[name]
+                before = len(pos) + len(negs)
+                for other in list(pos):
                     # Inherit the closure of every implied superclass.
-                    bag.update(units[lit.name])
-                    bag.update(implied[lit.name])
+                    pos |= unit_up[other]
+                    pos |= up[other]
+                    negs |= unit_neg[other]
+                    negs |= neg[other]
                     # Resolve its binary clauses against derived negations.
-                    for first, second in binaries[lit.name]:
-                        if ~first in bag:
-                            bag.add(second)
-                        if ~second in bag:
-                            bag.add(first)
-                if len(bag) != before:
+                    for first, second in binaries[other]:
+                        if first.name in (negs if first.positive else pos):
+                            (pos if second.positive else negs).add(second.name)
+                        if second.name in (negs if second.positive else pos):
+                            (pos if first.positive else negs).add(first.name)
+                if len(pos) + len(negs) != before:
                     changed = True
 
-        # Retained for the incremental extension path (extended_with).
-        self._units = {name: tuple(lits) for name, lits in units.items()}
-        self._binaries = {name: tuple(pairs) for name, pairs in binaries.items()}
-        self._implied = {name: frozenset(bag) for name, bag in implied.items()}
-        self._up = {
-            name: frozenset(lit.name for lit in bag if lit.positive)
-            for name, bag in self._implied.items()
-        }
-        self._neg = {
-            name: frozenset(lit.name for lit in bag if not lit.positive)
-            for name, bag in self._implied.items()
-        }
+        self._up = {name: frozenset(names) for name, names in up.items()}
+        self._neg = {name: frozenset(names) for name, names in neg.items()}
 
         self._empty: set[str] = set()
         for name in symbols:
@@ -107,17 +103,18 @@ class SchemaTables:
             if self._up[name] & self._empty:
                 self._empty.add(name)
 
-        self._disjoint: set[frozenset[str]] = set()
-        for i, c1 in enumerate(symbols):
-            for c2 in symbols[i + 1:]:
-                if self._clash(c1, c2):
-                    self._disjoint.add(frozenset((c1, c2)))
-
     def _clash(self, c1: str, c2: str) -> bool:
-        """Do the closures of ``c1`` and ``c2`` contradict each other?"""
-        if self._up[c1] & self._neg[c2] or self._up[c2] & self._neg[c1]:
-            return True
-        return False
+        """Do the closures of ``c1`` and ``c2`` contradict each other?
+
+        The disjointness table is read through this test on demand, never
+        materialized: two ``isdisjoint`` tests per asked pair cost less
+        than filling all ``O(|C|²)`` pairs up front, most of which no
+        consumer asks about."""
+        empty = frozenset()
+        return not (self._up.get(c1, empty).isdisjoint(
+                        self._neg.get(c2, empty))
+                    and self._up.get(c2, empty).isdisjoint(
+                        self._neg.get(c1, empty)))
 
     # ------------------------------------------------------------------
     @property
@@ -130,7 +127,11 @@ class SchemaTables:
 
     def implied_literals(self, name: str) -> frozenset[Lit]:
         """Every literal the closure derives for instances of ``name``."""
-        return self._implied.get(name, frozenset((Lit(name),)))
+        if name not in self._up:
+            return frozenset((Lit(name),))
+        return frozenset(
+            [Lit(other) for other in self._up[name]]
+            + [Lit(other, positive=False) for other in self._neg[name]])
 
     def superclasses(self, name: str) -> frozenset[str]:
         """Classes that provably include ``name`` (reflexive)."""
@@ -144,7 +145,7 @@ class SchemaTables:
         """True when the table proves ``c1`` and ``c2`` share no instance."""
         if c1 == c2:
             return c1 in self._empty
-        return frozenset((c1, c2)) in self._disjoint
+        return self._clash(c1, c2)
 
     @property
     def empty_classes(self) -> frozenset[str]:
@@ -153,7 +154,12 @@ class SchemaTables:
 
     @property
     def disjoint_pairs(self) -> frozenset[frozenset[str]]:
-        return frozenset(self._disjoint)
+        """Every provably disjoint pair of distinct classes."""
+        symbols = self._symbols
+        return frozenset(
+            frozenset((c1, c2))
+            for i, c1 in enumerate(symbols) for c2 in symbols[i + 1:]
+            if self._clash(c1, c2))
 
     def why_empty(self, name: str) -> str | None:
         """A human-readable derivation of why ``name`` is provably empty.
@@ -180,78 +186,6 @@ class SchemaTables:
         return f"{name} is refuted by propagation over the isa parts"
 
     # ------------------------------------------------------------------
-    # Incremental extension (augmented-query fast path)
-    # ------------------------------------------------------------------
-    def extended_with(self, schema: Schema, name: str) -> "SchemaTables":
-        """Tables for ``schema`` — this schema plus the *fresh* class ``name``.
-
-        Requires that no pre-existing definition mentions ``name`` (the
-        reasoner's query classes satisfy this by construction).  Then every
-        base closure row is already final — the fixpoint for an old class
-        never inspects the new one — so only the new class's row, its empty
-        check, and its disjointness pairs need computing: ``O(|C|)`` clash
-        checks instead of the full ``O(|C|²)`` preselection pass.  The
-        equivalence with :func:`build_tables` on the augmented schema is
-        asserted by the test suite.
-        """
-        cdef = schema.definition(name)
-        if name in self._implied:
-            raise ValueError(f"class {name!r} already has a table row")
-
-        units: list[Lit] = []
-        binaries: list[tuple[Lit, Lit]] = []
-        for clause in cdef.isa:
-            if len(clause) == 1:
-                units.append(clause.literals[0])
-            elif len(clause) == 2 and self._deduction == "binary":
-                first, second = clause.literals
-                binaries.append((first, second))
-
-        bag: set[Lit] = {Lit(name)}
-        bag.update(units)
-        changed = True
-        while changed:
-            before = len(bag)
-            for lit in list(bag):
-                if not lit.positive or lit.name == name:
-                    continue
-                # Base rows are final: one update pulls the full closure.
-                bag.update(self._implied.get(lit.name, frozenset((lit,))))
-                for first, second in self._binaries.get(lit.name, ()):
-                    if ~first in bag:
-                        bag.add(second)
-                    if ~second in bag:
-                        bag.add(first)
-            for first, second in binaries:
-                if ~first in bag:
-                    bag.add(second)
-                if ~second in bag:
-                    bag.add(first)
-            changed = len(bag) != before
-
-        extended = SchemaTables.__new__(SchemaTables)
-        extended._schema = schema
-        extended._deduction = self._deduction
-        extended._symbols = sorted(set(self._symbols) | {name})
-        extended._units = {**self._units, name: tuple(units)}
-        extended._binaries = {**self._binaries, name: tuple(binaries)}
-        extended._implied = {**self._implied, name: frozenset(bag)}
-        up = frozenset(lit.name for lit in bag if lit.positive)
-        neg = frozenset(lit.name for lit in bag if not lit.positive)
-        extended._up = {**self._up, name: up}
-        extended._neg = {**self._neg, name: neg}
-        empty = set(self._empty)
-        if up & neg or up & empty:
-            empty.add(name)
-        extended._empty = empty
-        disjoint = set(self._disjoint)
-        for other in self._symbols:
-            if other != name and extended._clash(name, other):
-                disjoint.add(frozenset((name, other)))
-        extended._disjoint = disjoint
-        return extended
-
-    # ------------------------------------------------------------------
     # Pruning interface for the enumerator
     # ------------------------------------------------------------------
     def closure(self, members: AbstractSet[str]) -> frozenset[str]:
@@ -274,7 +208,7 @@ class SchemaTables:
                 return False
         for i, c1 in enumerate(member_list):
             for c2 in member_list[i + 1:]:
-                if frozenset((c1, c2)) in self._disjoint:
+                if c1 != c2 and self._clash(c1, c2):
                     return False
         return True
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 from ..core.cardinality import INFINITY
 from ..core.errors import LinearSystemError
@@ -90,6 +91,18 @@ class PsiSystem:
         except KeyError:
             raise LinearSystemError(f"unknown not in system: {unknown!r}") from None
 
+    def find(self, unknown: Unknown) -> Optional[int]:
+        """The index of ``unknown``, or None when the system lacks it."""
+        return self._index.get(unknown)
+
+    def __getstate__(self) -> dict:
+        # The block structure is derived and cached on first use; artifacts
+        # carry only what the constructor built.
+        state = dict(self.__dict__)
+        state.pop("blocks", None)
+        state.pop("block_of", None)
+        return state
+
     # ------------------------------------------------------------------
     def _add_bounds(self, class_index: int, summand_indices: Sequence[int],
                     lower: int, upper, origin: str) -> None:
@@ -157,6 +170,51 @@ class PsiSystem:
     def size(self) -> int:
         """The paper's ``|Ψ_S|``: unknowns plus total constraint entries."""
         return self.n_unknowns() + self.n_nonzeros()
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components of ``Ψ_S``, as unknown indices in
+        increasing order: unknowns coupled by a constraint row or by an
+        acceptability (endpoint) edge.  The system is block-diagonal across
+        them, the structural fact support-block reuse rests on.  Computed
+        once per system and cached."""
+        n = len(self._unknowns)
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(a: int, b: int) -> None:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+
+        for constraint in self._constraints:
+            coefficients = constraint.coefficients
+            if coefficients:
+                first = coefficients[0][0]
+                for index, _ in coefficients[1:]:
+                    union(first, index)
+        for index in range(n):
+            for endpoint in self.endpoints_of(index):
+                union(index, endpoint)
+
+        groups: dict[int, list[int]] = {}
+        for index in range(n):
+            groups.setdefault(find(index), []).append(index)
+        return tuple(tuple(group) for group in groups.values())
+
+    @cached_property
+    def block_of(self) -> tuple[int, ...]:
+        """Unknown index → position of its block in :attr:`blocks`."""
+        block_of = [0] * len(self._unknowns)
+        for number, block in enumerate(self.blocks):
+            for index in block:
+                block_of[index] = number
+        return tuple(block_of)
 
     def endpoints_of(self, index: int) -> list[int]:
         """Indices of the compound-class unknowns that must be positive for

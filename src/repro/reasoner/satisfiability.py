@@ -70,7 +70,7 @@ class Reasoner:
         configuration route; defaults to ``EngineConfig()``.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` this reasoner's
-        pipeline (and any augmented pipelines it seeds) records into;
+        pipeline (and any augmented pipelines revised from it) records into;
         defaults to the config's ``trace`` setting.
     """
 
@@ -145,12 +145,6 @@ class Reasoner:
     def _schema(self) -> Schema:
         # Backward-compatible alias (pre-engine attribute name).
         return self._pipeline.schema
-
-    @property
-    def _precomputed_classes(self) -> Optional[tuple]:
-        # Exposed for the equivalence suite: non-None exactly when this
-        # reasoner was seeded by the incremental augmented-query path.
-        return self._pipeline._precomputed_classes
 
     def timings(self) -> dict[str, float]:
         """Accumulated wall-clock seconds per pipeline stage (``tables``,
@@ -244,20 +238,17 @@ class Reasoner:
     def augmented_with(self, cdef) -> "Reasoner":
         """A reasoner over this schema plus one query class definition.
 
-        When this reasoner enumerated strategically and has its pipeline
-        built, the augmented reasoner's pipeline is *seeded incrementally*:
-        preselection tables are extended by one row instead of rebuilt, and
-        compound classes of every cluster the query class does not touch are
-        reused verbatim — only the merged cluster is re-enumerated.  The
-        seeding is an optimization only; verdicts are identical to a cold
-        rebuild (the equivalence suite asserts this).
+        Built through :meth:`Pipeline.revise
+        <repro.engine.pipeline.Pipeline.revise>`, the engine's one
+        incremental rebuild path: once this reasoner's expansion is built
+        (strategic or auto enumeration), compound classes, expansion rows
+        and solved ``Ψ_S`` blocks of every cluster the query class does not
+        touch are reused — only the merged cluster is re-enumerated and
+        re-solved.  The reuse is an optimization only; verdicts are
+        identical to a cold rebuild (the differential suites assert this).
         """
-        augmented = Reasoner(self.schema.with_class(cdef),
-                             config=self._config,
-                             tracer=self._pipeline.tracer)
-        if self._pipeline.can_seed_augmented(cdef):
-            self._pipeline.seed_augmented(augmented._pipeline, cdef)
-        return augmented
+        return Reasoner.from_pipeline(
+            self._pipeline.revise(self.schema.with_class(cdef)))
 
     def _augmented_satisfiable(self, formula: Formula) -> bool:
         from ..core.schema import ClassDef
@@ -342,6 +333,7 @@ class Reasoner:
         plus per-stage wall-clock timings — a typed
         :class:`~repro.engine.stats.PipelineStats` payload (the timings
         cover ``tables``, ``expansion``, ``system``, ``support``, and —
-        once augmented queries ran — ``augmented_seed`` /
-        ``augmented_query``)."""
+        once augmented queries ran — ``augmented_query``; a pipeline built
+        by :meth:`Pipeline.revise <repro.engine.pipeline.Pipeline.revise>`
+        reads ``delta_seed`` in place of ``tables``)."""
         return self._pipeline.stats()

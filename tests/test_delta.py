@@ -1,10 +1,11 @@
-"""Diff-aware incremental revalidation (PR 7's tentpole machinery).
+"""Diff-aware incremental revalidation.
 
 The contract under test: for ANY pair of schema versions, a pipeline
-produced by :meth:`Pipeline.recompile_from` — reusing untouched clusters'
+produced by :meth:`Pipeline.revise` — reusing untouched clusters'
 expansion rows, compound classes, and ``Ψ_S`` block supports from the
-previous version's :class:`CompiledSchema` — must be *observationally
-identical* to a cold build of the new version: the same compound classes,
+previous version's pipeline (live, or rehydrated from its
+:class:`CompiledSchema`) — must be *observationally identical* to a cold
+build of the new version: the same compound classes,
 the same maximal support, the same satisfiability verdict for every class
 symbol.  The differential suites below drive that across randomized
 single-definition edits (add / remove / rewrite a class, tighten an
@@ -60,10 +61,9 @@ def assert_equivalent(delta_pipeline, new_schema, config=CONFIG):
 
 
 def revalidated(old, new, config=CONFIG):
-    """old → compile → delta → recompile_from, returning the pipeline."""
+    """old → compile → rehydrate → revise, returning the pipeline."""
     _, artifact = compiled(old, config)
-    delta = SchemaDelta.between(old, new)
-    return Pipeline.recompile_from(artifact, delta, config)
+    return Pipeline.from_artifact(artifact, config).revise(new)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +124,7 @@ EDITS = [edit_rewrite_isa, edit_add_class, edit_remove_class,
 
 
 class TestDifferentialRandomizedEdits:
-    """recompile_from == cold rebuild, across generators × edits × seeds."""
+    """revise == cold rebuild, across generators × edits × seeds."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("edit", EDITS)
@@ -188,17 +188,18 @@ class TestSparseBackendDelta:
 class TestChainedEdits:
     @pytest.mark.parametrize("seed", range(4))
     def test_chained_edits_carry_the_artifact_forward(self, seed):
-        """v1 → v2 → v3 → v4, each revalidated from its predecessor's
-        artifact — reuse must not accumulate drift."""
+        """v1 → v2 → v3 → v4, each revised from its predecessor — live
+        on odd steps, rehydrated from its artifact on even ones — reuse
+        must not accumulate drift."""
         rng = random.Random(seed)
         schema = clustered_schema(3, 3, seed=seed)
-        pipeline, artifact = compiled(schema)
-        for _ in range(3):
+        pipeline, _ = compiled(schema)
+        for step in range(3):
             new = rng.choice(EDITS)(schema, rng)
-            delta = SchemaDelta.between(schema, new)
-            pipeline = Pipeline.recompile_from(artifact, delta, CONFIG)
+            if step % 2:
+                pipeline = Pipeline.from_artifact(pipeline.compile(), CONFIG)
+            pipeline = pipeline.revise(new)
             assert_equivalent(pipeline, new)
-            artifact = pipeline.compile()
             schema = new
 
 
@@ -278,8 +279,7 @@ class TestReuseAccounting:
     def test_empty_delta_short_circuits(self):
         schema = clustered_schema(3, 3, seed=1)
         _, artifact = compiled(schema)
-        pipeline = Pipeline.recompile_from(
-            artifact, SchemaDelta.between(schema, schema), CONFIG)
+        pipeline = Pipeline.from_artifact(artifact, CONFIG).revise(schema)
         assert pipeline.delta_stats["mode"] == "unchanged"
         # the stored verdicts rehydrate: no Phase-2 recomputation needed
         assert "support" in pipeline._artifacts
@@ -290,29 +290,65 @@ class TestReuseAccounting:
         config = EngineConfig(strategy="naive")
         old = clustered_schema(2, 2, seed=0)
         new = edit_add_class(old, random.Random(0))
-        pipeline, artifact = compiled(old, config)
-        delta = SchemaDelta.between(old, new)
-        rebuilt = Pipeline.recompile_from(artifact, delta, config)
+        pipeline, _ = compiled(old, config)
+        rebuilt = pipeline.revise(new)
         assert rebuilt.delta_stats["mode"] == "fresh"
         assert_equivalent(rebuilt, new, config)
+
+    def test_unbuilt_expansion_falls_back_to_fresh(self):
+        old = clustered_schema(2, 2, seed=0)
+        new = edit_add_class(old, random.Random(0))
+        rebuilt = Pipeline(old, CONFIG).revise(new)
+        assert rebuilt.delta_stats["mode"] == "fresh"
+        assert_equivalent(rebuilt, new)
 
     def test_config_mismatch_is_refused(self):
         old = clustered_schema(2, 2, seed=0)
         _, artifact = compiled(old)
-        delta = SchemaDelta.between(old, edit_add_class(
-            old, random.Random(1)))
         with pytest.raises(ReasoningError):
-            Pipeline.recompile_from(artifact, delta,
-                                    EngineConfig(strategy="naive"))
+            Pipeline.from_artifact(artifact, EngineConfig(strategy="naive"))
 
-    def test_wrong_old_schema_is_refused(self):
+    def test_revision_diffs_against_its_own_schema(self):
+        """The previous version is the pipeline itself, so an unrelated
+        target schema is diffed against it, never trusted blindly."""
         schema_a = clustered_schema(2, 2, seed=0)
-        schema_b = clustered_schema(2, 2, seed=5)
-        _, artifact = compiled(schema_a)
-        delta = SchemaDelta.between(schema_b, edit_add_class(
-            schema_b, random.Random(1)))
-        with pytest.raises(ReasoningError):
-            Pipeline.recompile_from(artifact, delta, CONFIG)
+        schema_b = edit_add_class(clustered_schema(2, 2, seed=5),
+                                  random.Random(1))
+        pipeline, _ = compiled(schema_a)
+        revised = pipeline.revise(schema_b)
+        assert revised.delta.old is schema_a
+        assert_equivalent(revised, schema_b)
+
+
+class TestMergeSupportGuards:
+    def test_block_that_shrank_is_resolved_not_grafted(self):
+        """A block whose unknowns all existed before, every class marked
+        reused, but which is no longer a whole previous block (its
+        partner compound class vanished) must be re-solved: P needs an
+        ``a``-partner in Q, and Q became empty."""
+        from repro.engine.delta import DeltaSupportSeed, merge_support
+
+        old = Schema([ClassDef("P", attributes=[Attr("a", Card(1, 1),
+                                                     Lit("Q"))]),
+                      ClassDef("Q")])
+        new = Schema([ClassDef("P", attributes=[Attr("a", Card(1, 1),
+                                                     Lit("Q"))]),
+                      ClassDef("Q", isa=Formula((Clause((Lit("Q", False),)),)))])
+        prev, _ = compiled(old)
+        assert Reasoner.from_pipeline(prev).is_satisfiable("P")
+        fresh = Pipeline(new, CONFIG)
+        system = fresh.system
+        seed = DeltaSupportSeed(
+            prev=prev.support,
+            reused_classes=frozenset(fresh.expansion.compound_classes))
+        stats = {}
+        merged = merge_support(system, seed, backend=CONFIG.lp_backend,
+                               use_propagation=True, merge_columns=True,
+                               stats=stats)
+        assert stats["support_blocks_solved"] >= 1
+        assert merged.class_mask("P") == 0
+        assert {system.unknowns[i] for i in merged.support} == \
+            support_set(fresh)
 
 
 class TestSchemaDelta:

@@ -38,7 +38,6 @@ class TestEngineConfig:
         assert config.strategy == "auto"
         assert config.size_limit is None
         assert config.lp_backend == "auto"
-        assert config.incremental_augmented
 
     def test_frozen_and_hashable(self):
         config = EngineConfig()

@@ -17,7 +17,7 @@ refutes models up to its size bound — so we check:
 * Theorem 4.6: imposing cross-cluster disjointness preserves every verdict.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.cardinality import Card
 from repro.core.formulas import Clause, Formula, Lit
@@ -68,6 +68,16 @@ def small_schemas(draw) -> Schema:
 
 ORACLE_SIZE = 2
 
+#: A: (inv a) : (1,1) B; B: a : (0,1) C; C: isa not B.  A is satisfiable
+#: (o1 ∈ B, o2 ∈ A ∩ C, a(o1, o2)); a schema graph without the
+#: attribute-end arcs splits the clusters {A,B} | {C} and never enumerates
+#: the compound class {A, C}.
+THEOREM_46_COUNTEREXAMPLE = Schema([
+    ClassDef("A", attributes=[Attr(inv("a"), Card(1, 1), Lit("B"))]),
+    ClassDef("B", attributes=[Attr(AttrRef("a"), Card(0, 1), Lit("C"))]),
+    ClassDef("C", isa=Formula((Clause((Lit("B", positive=False),)),))),
+])
+
 
 def oracle_and_reasoner(schema: Schema, target: str):
     model = brute_force_find_model(schema, target, max_size=ORACLE_SIZE)
@@ -78,6 +88,7 @@ def oracle_and_reasoner(schema: Schema, target: str):
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_schemas(), st.sampled_from(CLASS_NAMES))
+@example(THEOREM_46_COUNTEREXAMPLE, "A")
 def test_reasoner_complete_wrt_oracle(schema, target):
     """Any model the oracle finds certifies satisfiability: the reasoner
     must agree."""

@@ -1,8 +1,8 @@
 """Equivalence guarantees for the indexed expansion pipeline.
 
 The throughput optimizations — endpoint indexes, binding-endpoint pruning,
-memoized typing checks, incremental augmented queries, incremental table
-extension — must never change any answer.  This suite pins each of them
+memoized typing checks, incremental augmented queries (answered through
+``Pipeline.revise``) — must never change any answer.  This suite pins each of them
 against its reference implementation on randomized seeded schemas from
 :mod:`repro.workloads.generators` (property-style: many seeds, exact
 comparisons).
@@ -35,7 +35,6 @@ from repro.expansion.compound import (
     is_consistent_compound_relation,
 )
 from repro.expansion.expansion import build_expansion, is_binding
-from repro.expansion.tables import build_tables
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import clustered_schema, random_schema
 
@@ -217,12 +216,14 @@ class TestAugmentedEquivalence:
         schema = clustered_schema(3, 2, seed=seed)
         naive = Reasoner(schema, config=EngineConfig(strategy="naive"))
         incremental = Reasoner(schema, config=EngineConfig(strategy="strategic"))
-        full = Reasoner(schema, config=EngineConfig(
-            strategy="strategic", incremental_augmented=False))
+        name = incremental.fresh_class_name("Probe")
         for formula in cross_cluster_formulas(schema):
             expected = naive.is_formula_satisfiable(formula)
             assert incremental.is_formula_satisfiable(formula) == expected
-            assert full.is_formula_satisfiable(formula) == expected
+            # The cold build of the augmented schema the revision stands for.
+            cold = Reasoner(schema.with_class(ClassDef(name, isa=formula)),
+                            config=EngineConfig(strategy="strategic"))
+            assert cold.is_satisfiable(name) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_augmented_reasoner_matches_cold_rebuild(self, seed):
@@ -233,32 +234,11 @@ class TestAugmentedEquivalence:
                          isa=next(iter(cross_cluster_formulas(schema))))
         seeded = base.augmented_with(probe)
         cold = Reasoner(schema.with_class(probe), config=EngineConfig(strategy="strategic"))
-        assert seeded._precomputed_classes is not None  # fast path engaged
+        assert seeded.pipeline.delta_stats["mode"] == "delta"  # reuse engaged
         assert (set(seeded.expansion.compound_classes)
                 == set(cold.expansion.compound_classes))
         for name in sorted(schema.class_symbols) + [probe.name]:
             assert seeded.is_satisfiable(name) == cold.is_satisfiable(name)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_extended_tables_match_full_rebuild(self, seed):
-        schema = random_schema(6, seed=seed)
-        base_tables = build_tables(schema)
-        reasoner = Reasoner(schema)
-        name = reasoner.fresh_class_name("Probe")
-        for formula in cross_cluster_formulas(schema):
-            augmented = schema.with_class(ClassDef(name, isa=formula))
-            extended = base_tables.extended_with(augmented, name)
-            rebuilt = build_tables(augmented)
-            assert extended._implied == rebuilt._implied
-            assert extended.empty_classes == rebuilt.empty_classes
-            assert extended.disjoint_pairs == rebuilt.disjoint_pairs
-
-    def test_extended_with_rejects_existing_class(self):
-        schema = random_schema(4, seed=0)
-        tables = build_tables(schema)
-        name = sorted(schema.class_symbols)[0]
-        with pytest.raises(ValueError):
-            tables.extended_with(schema, name)
 
     def test_verdict_cache_is_lru_bounded(self):
         schema = clustered_schema(2, 2, seed=3)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.formulas import TOP, Clause, Formula, Lit
 from repro.core.schema import ClassDef, Schema
-from repro.engine import EngineConfig, Pipeline, SchemaDelta
+from repro.engine import EngineConfig, Pipeline
 from repro.linear.system import PsiSystem
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import clustered_schema
@@ -79,14 +79,13 @@ def rehydrated(pipeline):
 
 
 def supports(schema, edited, config):
-    """Fresh, rehydrated and delta-recompiled pipelines for ``schema``."""
+    """Fresh, rehydrated and delta-revised pipelines for ``schema``."""
     fresh = Pipeline(schema, config)
     yield "fresh", fresh
     yield "rehydrated", rehydrated(Pipeline(schema, config))
     old = Pipeline(edited, config)
     _ = old.support
-    yield "delta", Pipeline.recompile_from(
-        old.compile(), SchemaDelta.between(edited, schema), config)
+    yield "delta", old.revise(schema)
 
 
 @pytest.mark.parametrize("strategy", sorted(CONFIGS))
@@ -149,8 +148,7 @@ def test_delta_merged_support_carries_the_index(seed):
                   if d.name == target.name else d for d in defs])
     previous = Pipeline(old, config)
     _ = previous.support
-    pipeline = Pipeline.recompile_from(
-        previous.compile(), SchemaDelta.between(old, new), config)
+    pipeline = previous.revise(new)
     result = pipeline.support
     assert pipeline.delta_stats["mode"] == "delta"
     assert pipeline.delta_stats["support_blocks_reused"] > 0
